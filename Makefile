@@ -1,12 +1,11 @@
-# Tier-1 gate plus the extended checks CI runs. The container this
-# repo is developed in has a single vCPU, so race-enabled campaign
-# tests are slow: every target carries an explicit -timeout generous
-# enough for that hardware.
+# Tier-1 gate plus the extended checks CI runs. The reference host has
+# two vCPUs, on which race-enabled campaign tests are slow: every target
+# carries an explicit -timeout generous enough for that hardware.
 
 GO      ?= go
 TIMEOUT ?= 9000s
 
-.PHONY: all build fmt vet test race resume blame-smoke bench bench-smoke ci
+.PHONY: all build fmt vet test race resume blame-smoke bench bench-smoke bench-golden ci
 
 all: ci
 
@@ -50,8 +49,9 @@ resume:
 
 # One-shot pass over every benchmark to prove they still run, then
 # the structured throughput report: cmd/bench measures campaign
-# runs/sec, mutate+compile ns/op and allocs/op, and interpreter
-# ns/op, writing BENCH_campaign.json for cross-commit diffing.
+# runs/sec, mutate+compile ns/op and allocs/op, and interpreter and
+# compiled-executor ns/op, writing BENCH_campaign.json for
+# cross-commit diffing.
 bench:
 	$(GO) test -bench . -benchtime 1x -timeout $(TIMEOUT) .
 	$(GO) run ./cmd/bench -seeds 30 -out BENCH_campaign.json
@@ -61,4 +61,14 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/bench -seeds 3 -benchtime 0.05 -out BENCH_campaign.json
 
-ci: fmt vet test race resume blame-smoke bench-smoke
+# Campaign golden gate: one short untraced run of every campaignbench
+# workload. Each run checks every round's finding signatures against the
+# goldens in campaignbench/suite.json and re-verifies every finding
+# against the interpreter, so it catches step-count drift on real
+# campaigns, which the unit tests cannot see.
+bench-golden:
+	for w in hunt-hotspot hunt-short triage-openj9 hunt-art; do \
+		bash campaignbench/run.sh --workload $$w --seed 0 --seconds 1 --trace 0 || exit 1; \
+	done
+
+ci: fmt vet test race resume blame-smoke bench-smoke bench-golden

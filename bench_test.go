@@ -478,6 +478,58 @@ func BenchmarkTieredExecution(b *testing.B) {
 	}
 }
 
+// phiLoopSrc keeps eight locals live around a hot loop, so every back
+// edge resolves eight phis with a run of edge moves: the traffic that
+// dominates compiled-code execution in campaigns. cmd/bench runs the
+// same program for the "compiled" entry of BENCH_campaign.json.
+const phiLoopSrc = `class T {
+    long run(int n) {
+        long a = 1L; long b = 2L; long c = 3L; long d = 4L;
+        int e = 5; int f = 6; int g = 7; int h = 8;
+        for (int i = 0; i < n; i++) {
+            long t = a;
+            a = b + i;
+            b = c ^ t;
+            c = d - (a >> 3);
+            d = t;
+            int u = e;
+            e = f + i;
+            f = g ^ u;
+            g = h * 3;
+            h = u;
+        }
+        return a + b + c + d + e + f + g + h;
+    }
+    void main() { print(run(100000)); }
+}`
+
+// BenchmarkCompiledExecutor measures the compiled-code executor on
+// phiLoopSrc forced through the optimizing tier, with a reused Scratch
+// as in campaigns; steps/run pins the work measured.
+func BenchmarkCompiledExecutor(b *testing.B) {
+	prog, err := parser.Parse(phiLoopSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bp := harness.Compile(prog)
+	prof := mustProfile(b, "hotspotlike")
+	scratch := &vm.Scratch{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		cfg := prof.VMConfig(false)
+		cfg.Scratch = scratch
+		cfg.Policy = &vm.ForcedPolicy{
+			Tier:       2,
+			Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			DisableOSR: true,
+		}
+		steps = vm.Run(cfg, bp).Steps
+	}
+	b.ReportMetric(float64(steps), "steps/run")
+}
+
 // BenchmarkJITCompileTier2 measures optimizing-tier compilation
 // latency on a fuzzed method corpus.
 func BenchmarkJITCompileTier2(b *testing.B) {

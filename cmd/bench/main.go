@@ -1,8 +1,9 @@
-// Command bench measures the three throughput-critical paths of the
+// Command bench measures the throughput-critical paths of the
 // validation pipeline — campaign end-to-end throughput, the
-// mutate+compile front-end, and raw interpretation — and writes the
-// results as deterministic-shape JSON (BENCH_campaign.json by
-// default) so CI can archive and diff them across commits.
+// mutate+compile front-end, raw interpretation, the compiled-code
+// executor and fault localization — and writes the results as
+// deterministic-shape JSON (BENCH_campaign.json by default) so CI can
+// archive and diff them across commits.
 //
 // Usage:
 //
@@ -47,6 +48,13 @@ type report struct {
 	} `json:"campaign"`
 	MutateCompile benchJSON `json:"mutate_compile"`
 	Interpreter   benchJSON `json:"interpreter"`
+	// Compiled measures the compiled-code executor on a phi-heavy loop
+	// forced through the optimizing tier (the root package's
+	// BenchmarkCompiledExecutor); steps_per_run pins the work measured.
+	Compiled struct {
+		benchJSON
+		StepsPerRun int64 `json:"steps_per_run"`
+	} `json:"compiled"`
 	// Blame measures one full fault localization (pass bisection +
 	// space shrink) of the flagship GCM reproducer — the cost a
 	// campaign pays per first-seen finding when -blame is on.
@@ -88,6 +96,9 @@ func main() {
 	fmt.Fprintln(os.Stderr, "bench: interpreter...")
 	r.Interpreter = run(benchInterpreter())
 
+	fmt.Fprintln(os.Stderr, "bench: compiled-code executor...")
+	r.Compiled.benchJSON = run(benchCompiled(prof, &r.Compiled.StepsPerRun))
+
 	fmt.Fprintln(os.Stderr, "bench: fault localization...")
 	r.Blame = run(benchBlame(prof))
 
@@ -99,11 +110,61 @@ func main() {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "bench: report written to %s\n", *out)
-	fmt.Printf("campaign %.2f runs/s | mutate+compile %d ns/op %d allocs/op | interpreter %d ns/op %d allocs/op | blame %d ns/op\n",
+	fmt.Printf("campaign %.2f runs/s | mutate+compile %d ns/op %d allocs/op | interpreter %d ns/op %d allocs/op | compiled %d ns/op %d allocs/op | blame %d ns/op\n",
 		r.Campaign.RunsPerSec,
 		r.MutateCompile.NsPerOp, r.MutateCompile.AllocsPerOp,
 		r.Interpreter.NsPerOp, r.Interpreter.AllocsPerOp,
+		r.Compiled.NsPerOp, r.Compiled.AllocsPerOp,
 		r.Blame.NsPerOp)
+}
+
+// phiLoopSrc is BenchmarkCompiledExecutor's program: eight locals live
+// around a hot loop, so every back edge resolves eight phis with a run
+// of edge moves.
+const phiLoopSrc = `class T {
+    long run(int n) {
+        long a = 1L; long b = 2L; long c = 3L; long d = 4L;
+        int e = 5; int f = 6; int g = 7; int h = 8;
+        for (int i = 0; i < n; i++) {
+            long t = a;
+            a = b + i;
+            b = c ^ t;
+            c = d - (a >> 3);
+            d = t;
+            int u = e;
+            e = f + i;
+            f = g ^ u;
+            g = h * 3;
+            h = u;
+        }
+        return a + b + c + d + e + f + g + h;
+    }
+    void main() { print(run(100000)); }
+}`
+
+// benchCompiled measures the compiled-code executor: phiLoopSrc forced
+// through the optimizing tier with a reused Scratch, storing the steps
+// one run charges in *steps.
+func benchCompiled(prof *profiles.Profile, steps *int64) func(b *testing.B) {
+	prog, err := parser.Parse(phiLoopSrc)
+	if err != nil {
+		fatal(err)
+	}
+	bp := harness.Compile(prog)
+	scratch := &vm.Scratch{}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cfg := prof.VMConfig(false)
+			cfg.Scratch = scratch
+			cfg.Policy = &vm.ForcedPolicy{
+				Tier:       2,
+				Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+				DisableOSR: true,
+			}
+			*steps = vm.Run(cfg, bp).Steps
+		}
+	}
 }
 
 // benchMutateCompile measures one mutant's front-end cost the way a

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"artemis/internal/bugs"
-	"artemis/internal/bytecode"
 	"artemis/internal/jit/ir"
-	"artemis/internal/lang/ast"
 	"artemis/internal/vm"
 )
 
@@ -14,37 +12,129 @@ import (
 // ("registers"). The allocator assigns one frame slot per virtual
 // register — a simple but valid allocation; the injected register-
 // allocator defects alias or overflow these assignments.
+//
+// Machine code is a slice of packed 24-byte words (minstr). The few
+// operands that do not fit a word live in side tables on the Code —
+// call argument slots, switch tables and deopt recipes — and the word
+// holds their index.
 
 type mop uint8
 
 const (
-	mNop     mop = iota
-	mLdi         // R[d] = imm
-	mLdArg       // R[d] = args[imm] (prologue)
-	mMov         // R[d] = R[a]
-	mBin         // R[d] = R[a] bop R[b]
-	mNeg         // R[d] = -R[a]
-	mBitNot      // R[d] = ^R[a]
-	mL2I         // R[d] = int32(R[a])
-	mCmp         // R[d] = R[a] cond R[b]
-	mGetF        // R[d] = field[imm]
-	mPutF        // field[imm] = R[a]
-	mNewArr      // R[d] = new kind[R[a]]
-	mALoad       // R[d] = R[a][R[b]] (bounds-checked)
-	mALoadNC     // unchecked load (clamped to the object, canary included)
-	mAStore      // R[a][R[b]] = R[c] (bounds-checked)
+	mLdi   mop = iota // R[d] = imm
+	mLdArg            // R[d] = args[imm] (prologue)
+	mMov              // R[d] = R[a]
+	// mGroup heads a move group: the next imm words are mMov and mLdi,
+	// dispatched as one unit that counts as imm instructions.
+	mGroup
+
+	// Non-trapping binary operators, R[d] = R[a] op R[b]. Each int
+	// (32-bit wrapping) opcode is directly followed by its long twin.
+	mAddI
+	mAddL
+	mSubI
+	mSubL
+	mMulI
+	mMulL
+	mAndI
+	mAndL
+	mOrI
+	mOrL
+	mXorI
+	mXorL
+	mShlI
+	mShlL
+	mShrI
+	mShrL
+	mUshrI
+	mUshrL
+	// Division and remainder can trap, so they keep vm.EvalBinary:
+	// R[d] = R[a] op R[b] with op = bytecode.Op(imm).
+	mDivRemI
+	mDivRemL
+	mUshrL32 // long >>> with a 32-bit count mask (hs-cg-ushr-wide)
+	mNegI    // R[d] = -R[a]
+	mNegL
+	mNotI // R[d] = ^R[a]
+	mNotL
+	mL2I // R[d] = int32(R[a])
+	// Compares, R[d] = R[a] cond R[b]: one opcode per bytecode.Cond, in
+	// its order.
+	mCmpEQ
+	mCmpNE
+	mCmpLT
+	mCmpLE
+	mCmpGT
+	mCmpGE
+	mGetF    // R[d] = field[imm]
+	mPutF    // field[imm] = R[a]
+	mNewArr  // R[d] = new ast.Kind(imm)[R[a]]
+	mALoad   // R[d] = R[a][R[b]] (bounds-checked)
+	mALoadNC // unchecked load (clamped to the object, canary included)
+	mAStore  // R[a][R[b]] = R[d] (bounds-checked)
 	mAStoreNC
 	mAStoreRaw // unchecked store that can hit the canary word
 	mArrLen    // R[d] = R[a].length
-	mCall      // R[d] = call method imm with args regs
-	mPrint     // print kind R[a]
+	mCall      // R[d] = call method imm with args callRegs[a : a+b]
+	mPrint     // print ast.Kind(imm) R[a]
 	mJmp       // pc = imm
 	mBr        // if R[a] != 0 -> imm else fallthrough
-	mSwitch    // table dispatch on R[a]
-	mGuard     // if R[a] != imm -> deopt #deopt
+	mSwitch    // table dispatch on R[a] through switches[b]
+	mGuard     // if R[a] != imm -> deopt through deopts[b]
 	mRet       // return R[a]
 	mRetVoid
+	mEnd // closes the code; every layout ends in a jump or return first
 )
+
+// wideOp returns op, or its long twin when wide.
+func wideOp(op mop, wide bool) mop {
+	if wide {
+		return op + 1
+	}
+	return op
+}
+
+// binOp returns the opcode of a binary ir operator.
+func binOp(op ir.Op, wide bool) mop {
+	m := mDivRemI // ir.OpDiv, ir.OpRem
+	switch op {
+	case ir.OpAdd:
+		m = mAddI
+	case ir.OpSub:
+		m = mSubI
+	case ir.OpMul:
+		m = mMulI
+	case ir.OpAnd:
+		m = mAndI
+	case ir.OpOr:
+		m = mOrI
+	case ir.OpXor:
+		m = mXorI
+	case ir.OpShl:
+		m = mShlI
+	case ir.OpShr:
+		m = mShrI
+	case ir.OpUshr:
+		m = mUshrI
+	}
+	return wideOp(m, wide)
+}
+
+// regFields reports which of an instruction's d, a and b fields name
+// frame slots; the rest hold side-table indexes or nothing.
+func (op mop) regFields() (d, a, b bool) {
+	switch op {
+	case mLdi, mLdArg, mGetF, mCall:
+		return true, false, false
+	case mMov, mNegI, mNegL, mNotI, mNotL, mL2I, mNewArr, mArrLen:
+		return true, true, false
+	case mPutF, mPrint, mBr, mSwitch, mGuard, mRet:
+		return false, true, false
+	case mJmp, mRetVoid, mGroup, mEnd:
+		return false, false, false
+	}
+	return true, true, true // binary operators, compares, array loads and stores
+}
 
 type mswitch struct {
 	vals    []int64
@@ -65,23 +155,12 @@ type deoptSite struct {
 	stack  []loc
 }
 
+// minstr is one packed machine instruction: an opcode, three 32-bit
+// operands and a 64-bit immediate.
 type minstr struct {
-	op    mop
-	d     int32
-	a     int32
-	b     int32
-	c     int32
-	imm   int64
-	bop   bytecode.Op
-	wide  bool
-	cond  bytecode.Cond
-	kind  ast.Kind
-	args  []int32
-	table *mswitch
-	deopt int32
-	// bug32Mask marks a wide ushr miscompiled with a 32-bit count
-	// mask (hs-cg-ushr-wide).
-	bug32Mask bool
+	op      mop
+	d, a, b int32
+	imm     int64
 }
 
 // Code is one compiled method body. It implements vm.CompiledCode via
@@ -92,7 +171,16 @@ type Code struct {
 	osr       bool
 	frameSize int
 	ins       []minstr
-	deopts    []deoptSite
+	// size is the instruction count before move grouping (Size).
+	size int
+	// Side tables for operands that do not fit a word.
+	callRegs []int32 // argument slots of every mCall
+	maxArgs  int     // the most arguments any mCall passes
+	switches []mswitch
+	deopts   []deoptSite
+	// free holds the frames of finished activations for reuse. Each
+	// Code belongs to the one VM that compiled it, so it needs no lock.
+	free []*frameBuf
 	// stats is filled in by the Compiler after lowering; see
 	// vm.CompileStatsProvider.
 	stats *vm.CompileStats
@@ -116,7 +204,7 @@ func (c *Code) Tier() int { return c.tier }
 func (c *Code) IsOSR() bool { return c.osr }
 
 // Size implements vm.CompiledCode.
-func (c *Code) Size() int { return len(c.ins) }
+func (c *Code) Size() int { return c.size }
 
 // CompileStats implements vm.CompileStatsProvider.
 func (c *Code) CompileStats() *vm.CompileStats { return c.stats }
@@ -260,22 +348,23 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 				if v.Uses == 0 && !v.Trapping() {
 					continue
 				}
-				in := minstr{op: mBin, d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]),
-					bop: v.Op.BytecodeOpFor(), wide: v.Wide}
-				if v.Op == ir.OpUshr {
-					nonConstCount := v.Args[1].Op != ir.OpConst
-					if v.Wide && bugSet.Has("hs-cg-ushr-wide") && nonConstCount {
-						in.bug32Mask = true // BUG: wrong mask for long >>>
+				in := minstr{op: binOp(v.Op, v.Wide), d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1])}
+				switch {
+				case v.Op == ir.OpDiv || v.Op == ir.OpRem:
+					in.imm = int64(v.Op.BytecodeOpFor())
+				case v.Op == ir.OpUshr && v.Args[1].Op != ir.OpConst:
+					if v.Wide && bugSet.Has("hs-cg-ushr-wide") {
+						in.op = mUshrL32 // BUG: wrong mask for long >>>
 					}
-					if !v.Wide && tier == 1 && bugSet.Has("art-t1-ushr-int") && nonConstCount {
-						in.bop = bytecode.OpShr // BUG: arithmetic shift instead
+					if !v.Wide && tier == 1 && bugSet.Has("art-t1-ushr-int") {
+						in.op = mShrI // BUG: arithmetic shift instead
 					}
 				}
 				emit(in)
 			case ir.OpNeg:
-				emit(minstr{op: mNeg, d: slotOf(v), a: ensureIn(v.Args[0]), wide: v.Wide})
+				emit(minstr{op: wideOp(mNegI, v.Wide), d: slotOf(v), a: ensureIn(v.Args[0])})
 			case ir.OpBitNot:
-				emit(minstr{op: mBitNot, d: slotOf(v), a: ensureIn(v.Args[0]), wide: v.Wide})
+				emit(minstr{op: wideOp(mNotI, v.Wide), d: slotOf(v), a: ensureIn(v.Args[0])})
 			case ir.OpL2I:
 				if bugSet.Has("oj-cg-l2i-skip") && v.Args[0].Op.IsBinArith() &&
 					(v.Args[0].Op == ir.OpShl || v.Args[0].Op == ir.OpShr || v.Args[0].Op == ir.OpUshr) {
@@ -288,7 +377,7 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 				if v.Uses == 0 {
 					continue
 				}
-				emit(minstr{op: mCmp, d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), cond: v.Cond})
+				emit(minstr{op: mCmpEQ + mop(v.Cond), d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1])})
 			case ir.OpGetField:
 				if v.Uses == 0 {
 					continue
@@ -297,30 +386,31 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 			case ir.OpPutField:
 				emit(minstr{op: mPutF, a: ensureIn(v.Args[0]), imm: v.Aux})
 			case ir.OpNewArr:
-				emit(minstr{op: mNewArr, d: slotOf(v), a: ensureIn(v.Args[0]), kind: v.Kind})
+				emit(minstr{op: mNewArr, d: slotOf(v), a: ensureIn(v.Args[0]), imm: int64(v.Kind)})
 			case ir.OpALoad:
 				emit(minstr{op: mALoad, d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1])})
 			case ir.OpALoadNoCheck:
 				emit(minstr{op: mALoadNC, d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1])})
 			case ir.OpAStore:
-				emit(minstr{op: mAStore, a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), c: ensureIn(v.Args[2])})
+				emit(minstr{op: mAStore, a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), d: ensureIn(v.Args[2])})
 			case ir.OpAStoreNoCheck:
-				emit(minstr{op: mAStoreNC, a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), c: ensureIn(v.Args[2])})
+				emit(minstr{op: mAStoreNC, a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), d: ensureIn(v.Args[2])})
 			case ir.OpAStoreRaw:
-				emit(minstr{op: mAStoreRaw, a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), c: ensureIn(v.Args[2])})
+				emit(minstr{op: mAStoreRaw, a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1]), d: ensureIn(v.Args[2])})
 			case ir.OpArrLen:
 				if v.Uses == 0 {
 					continue
 				}
 				emit(minstr{op: mArrLen, d: slotOf(v), a: ensureIn(v.Args[0])})
 			case ir.OpCall:
-				args := make([]int32, len(v.Args))
-				for i, a := range v.Args {
-					args[i] = ensureIn(a)
+				start := len(c.callRegs)
+				for _, a := range v.Args {
+					c.callRegs = append(c.callRegs, ensureIn(a))
 				}
-				emit(minstr{op: mCall, d: slotOf(v), imm: v.Aux, args: args})
+				c.maxArgs = max(c.maxArgs, len(v.Args))
+				emit(minstr{op: mCall, d: slotOf(v), a: int32(start), b: int32(len(v.Args)), imm: v.Aux})
 			case ir.OpPrint:
-				emit(minstr{op: mPrint, a: ensureIn(v.Args[0]), kind: v.Kind})
+				emit(minstr{op: mPrint, a: ensureIn(v.Args[0]), imm: int64(v.Kind)})
 			case ir.OpGuard:
 				site := deoptSite{pc: v.FS.PC}
 				for _, lv := range v.FS.Locals {
@@ -342,7 +432,7 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 					}
 				}
 				c.deopts = append(c.deopts, site)
-				emit(minstr{op: mGuard, a: ensureIn(v.Args[0]), imm: v.Aux, deopt: int32(len(c.deopts) - 1)})
+				emit(minstr{op: mGuard, a: ensureIn(v.Args[0]), b: int32(len(c.deopts) - 1), imm: v.Aux})
 			default:
 				panic(fmt.Sprintf("jit: cannot lower %s", v))
 			}
@@ -387,19 +477,10 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 				for i := 0; i < len(moves); i++ {
 					m := moves[i]
 					blocked := false
-					if !m.isConst {
-						for j, o := range moves {
-							if j != i && !o.isConst && o.src == m.dst {
-								blocked = true
-								break
-							}
-						}
-					} else {
-						for j, o := range moves {
-							if j != i && !o.isConst && o.src == m.dst {
-								blocked = true
-								break
-							}
+					for j, o := range moves {
+						if j != i && !o.isConst && o.src == m.dst {
+							blocked = true
+							break
 						}
 					}
 					if blocked {
@@ -466,14 +547,15 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 				crashf("Code Generation", "dense switch lowering: %d entries", len(b.Cases))
 			}
 			tagReg := ensureIn(b.Ctrl)
-			tbl := &mswitch{}
-			idx := emit(minstr{op: mSwitch, a: tagReg, table: tbl})
+			c.switches = append(c.switches, mswitch{deflt: -1})
+			si := len(c.switches) - 1
+			idx := emit(minstr{op: mSwitch, a: tagReg, b: int32(si)})
+			tbl := &c.switches[si]
 			for _, cse := range b.Cases {
 				tbl.vals = append(tbl.vals, cse.Value)
 				tbl.targets = append(tbl.targets, -1)
 				patches = append(patches, patch{ins: idx, target: b.Succs[cse.Succ], tblIdx: len(tbl.targets) - 1})
 			}
-			tbl.deflt = -1
 			patches = append(patches, patch{ins: idx, target: b.Succs[b.DefaultSucc], tblIdx: -2})
 			for _, s := range b.Succs {
 				for _, p := range s.Values {
@@ -497,28 +579,37 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 		case p.tblIdx == -1:
 			in.imm = int64(t)
 		case p.tblIdx == -2:
-			in.table.deflt = t
+			c.switches[in.b].deflt = t
 		default:
-			in.table.targets[p.tblIdx] = t
+			c.switches[in.b].targets[p.tblIdx] = t
 		}
 	}
 	c.frameSize = int(next)
+	c.size = len(c.ins)
 
 	if execBugs.aliased {
 		// Apply the register-allocator aliasing defect by rewriting
 		// every use of slot aliasB to aliasA.
+		alias := func(r *int32) {
+			if *r == execBugs.aliasB {
+				*r = execBugs.aliasA
+			}
+		}
 		for i := range c.ins {
 			in := &c.ins[i]
-			for _, rp := range []*int32{&in.d, &in.a, &in.b, &in.c} {
-				if *rp == execBugs.aliasB {
-					*rp = execBugs.aliasA
-				}
+			d, a, b := in.op.regFields()
+			if d {
+				alias(&in.d)
 			}
-			for j := range in.args {
-				if in.args[j] == execBugs.aliasB {
-					in.args[j] = execBugs.aliasA
-				}
+			if a {
+				alias(&in.a)
 			}
+			if b {
+				alias(&in.b)
+			}
+		}
+		for i := range c.callRegs {
+			alias(&c.callRegs[i])
 		}
 		for i := range c.deopts {
 			for j := range c.deopts[i].locals {
@@ -529,5 +620,56 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 			}
 		}
 	}
+	c.groupMoves()
 	return c
+}
+
+// groupMoves puts an mGroup head before each maximal run of at least two
+// mMov/mLdi words, so the executor dispatches the run once. A run never
+// continues past a jump target, so jumps land only on a run's head.
+// Jump and switch targets are remapped in order, so a back edge still
+// targets an index at or below its own. An mEnd word closes the code.
+func (c *Code) groupMoves() {
+	isMove := func(op mop) bool { return op == mMov || op == mLdi }
+	target := make([]bool, len(c.ins)+1)
+	for _, in := range c.ins {
+		if in.op == mJmp || in.op == mBr {
+			target[in.imm] = true
+		}
+	}
+	for _, sw := range c.switches {
+		target[sw.deflt] = true
+		for _, t := range sw.targets {
+			target[t] = true
+		}
+	}
+	at := make([]int, len(c.ins)+1) // unfused index -> grouped index
+	out := make([]minstr, 0, len(c.ins)+len(c.ins)/8+1)
+	for i := 0; i < len(c.ins); {
+		j := i + 1
+		for isMove(c.ins[i].op) && j < len(c.ins) && isMove(c.ins[j].op) && !target[j] {
+			j++
+		}
+		at[i] = len(out)
+		if j-i >= 2 {
+			out = append(out, minstr{op: mGroup, imm: int64(j - i)})
+		}
+		out = append(out, c.ins[i:j]...)
+		i = j
+	}
+	at[len(c.ins)] = len(out)
+	out = append(out, minstr{op: mEnd})
+	for k := range out {
+		if out[k].op == mJmp || out[k].op == mBr {
+			out[k].imm = int64(at[out[k].imm])
+		}
+	}
+	for s := range c.switches {
+		sw := &c.switches[s]
+		sw.deflt = at[sw.deflt]
+		for k, t := range sw.targets {
+			sw.targets[k] = at[t]
+		}
+	}
+	c.ins = out
 }

@@ -3,8 +3,46 @@ package jit
 import (
 	"fmt"
 
+	"artemis/internal/bytecode"
+	"artemis/internal/lang/ast"
 	"artemis/internal/vm"
 )
+
+// chargeEvery is how many machine instructions compiled code executes
+// per step charge.
+const chargeEvery = 64
+
+// frameBuf is the storage of one compiled activation. A Code keeps the
+// frames of finished activations and reuses them, each with the GC root
+// scanner bound to it once, so a compiled call allocates nothing in the
+// steady state.
+type frameBuf struct {
+	slots []int64
+	// args holds outgoing call arguments. Like the per-call slices it
+	// replaces it is not a GC root: a callee copies its arguments into
+	// its own frame before anything can allocate.
+	args []int64
+	scan func(yield func(int64))
+}
+
+// takeFrame returns a zeroed frame, reusing a finished one when it can.
+func (c *Code) takeFrame() *frameBuf {
+	if n := len(c.free); n > 0 {
+		f := c.free[n-1]
+		c.free = c.free[:n-1]
+		// The conservative GC scans every slot, so a reused frame must
+		// hold what a fresh one would: zeros, not stale handles.
+		clear(f.slots)
+		return f
+	}
+	f := &frameBuf{slots: make([]int64, c.frameSize), args: make([]int64, c.maxArgs)}
+	f.scan = func(yield func(int64)) {
+		for _, v := range f.slots {
+			yield(v)
+		}
+	}
+	return f
+}
 
 // Run executes compiled code against the VM's runtime environment,
 // implementing vm.CompiledCode. The "machine" is a register machine
@@ -12,86 +50,147 @@ import (
 // every heap, field, call, and print operation, like JIT-compiled
 // code calling runtime stubs.
 func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
-	frame := make([]int64, c.frameSize)
-	unregister := env.RegisterRoots(func(yield func(int64)) {
-		for _, v := range frame {
-			yield(v)
-		}
-	})
-	defer unregister()
+	f := c.takeFrame()
+	pop := env.RegisterRoots(f.scan)
+	res := c.exec(env, args, f)
+	// A panic skips the release; it ends the VM run anyway.
+	pop()
+	c.free = append(c.free, f)
+	return res
+}
 
+// exec is Run's dispatch loop over frame f.
+func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
+	frame, ins := f.slots, c.ins
 	var backedges int64
 	pc := 0
-	instrs := int64(0)
 
-	// Compiled code runs faster than interpretation: charge 1 abstract
-	// step per 8 machine instructions, batched. The hs-perf-osr-storm
-	// defect instead re-enters the runtime constantly, making compiled
-	// code far more expensive than interpretation — the paper's
+	// Compiled code runs faster than interpretation: it charges
+	// stepCost abstract steps before the 64th, 128th, ... machine
+	// instruction of each invocation. The hs-perf-osr-storm defect
+	// instead re-enters the runtime constantly, making compiled code
+	// far more expensive than interpretation — the paper's
 	// "performance issue" bug class.
 	stepCost := int64(8)
 	if c.execBugs.perfStorm {
 		stepCost = 640
 	}
-	charge := func() *vm.Unwind {
-		instrs++
-		if instrs&63 == 0 {
-			return env.Step(stepCost)
-		}
-		return nil
-	}
+	// until counts the instructions up to and including the next
+	// charged one.
+	until := chargeEvery
 
-	for pc >= 0 && pc < len(c.ins) {
-		if uw := charge(); uw != nil {
-			return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
+	for {
+		in := &ins[pc]
+		if until--; until == 0 {
+			until = chargeEvery
+			if uw := env.Step(stepCost); uw != nil {
+				return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
+			}
 		}
-		in := &c.ins[pc]
 		switch in.op {
-		case mNop:
+		case mGroup:
+			// A group of n moves counts as n instructions. The charges
+			// that fall on its last n-1 are made here, before its first
+			// move: moves only write frame slots and Step only counts,
+			// so every env call sees the same arguments and frame.
+			n := int(in.imm)
+			for until -= n - 1; until <= 0; until += chargeEvery {
+				if uw := env.Step(stepCost); uw != nil {
+					return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
+				}
+			}
+			moves := ins[pc+1 : pc+1+n]
+			for i := range moves {
+				if m := &moves[i]; m.op == mMov {
+					frame[m.d] = frame[m.a]
+				} else {
+					frame[m.d] = m.imm
+				}
+			}
+			pc += n + 1
+			continue
 		case mLdi:
 			frame[in.d] = in.imm
 		case mLdArg:
 			frame[in.d] = args[in.imm]
 		case mMov:
 			frame[in.d] = frame[in.a]
-		case mBin:
-			a, b := frame[in.a], frame[in.b]
-			if in.bug32Mask {
-				// hs-cg-ushr-wide: long >>> with a 32-bit count mask.
-				frame[in.d] = int64(uint64(a) >> (uint64(b) & 31))
-				break
-			}
-			v, err := vm.EvalBinary(in.bop, in.wide, a, b)
+		// The int operators truncate both operands exactly as
+		// vm.EvalBinary does: under oj-cg-l2i-skip a slot can hold a
+		// value wider than 32 bits.
+		case mAddI:
+			frame[in.d] = int64(int32(frame[in.a]) + int32(frame[in.b]))
+		case mAddL:
+			frame[in.d] = frame[in.a] + frame[in.b]
+		case mSubI:
+			frame[in.d] = int64(int32(frame[in.a]) - int32(frame[in.b]))
+		case mSubL:
+			frame[in.d] = frame[in.a] - frame[in.b]
+		case mMulI:
+			frame[in.d] = int64(int32(frame[in.a]) * int32(frame[in.b]))
+		case mMulL:
+			frame[in.d] = frame[in.a] * frame[in.b]
+		case mAndI:
+			frame[in.d] = int64(int32(frame[in.a]) & int32(frame[in.b]))
+		case mAndL:
+			frame[in.d] = frame[in.a] & frame[in.b]
+		case mOrI:
+			frame[in.d] = int64(int32(frame[in.a]) | int32(frame[in.b]))
+		case mOrL:
+			frame[in.d] = frame[in.a] | frame[in.b]
+		case mXorI:
+			frame[in.d] = int64(int32(frame[in.a]) ^ int32(frame[in.b]))
+		case mXorL:
+			frame[in.d] = frame[in.a] ^ frame[in.b]
+		case mShlI:
+			frame[in.d] = int64(int32(frame[in.a]) << (uint32(frame[in.b]) & 31))
+		case mShlL:
+			frame[in.d] = frame[in.a] << (uint64(frame[in.b]) & 63)
+		case mShrI:
+			frame[in.d] = int64(int32(frame[in.a]) >> (uint32(frame[in.b]) & 31))
+		case mShrL:
+			frame[in.d] = frame[in.a] >> (uint64(frame[in.b]) & 63)
+		case mUshrI:
+			frame[in.d] = int64(int32(uint32(frame[in.a]) >> (uint32(frame[in.b]) & 31)))
+		case mUshrL:
+			frame[in.d] = int64(uint64(frame[in.a]) >> (uint64(frame[in.b]) & 63))
+		case mUshrL32:
+			// hs-cg-ushr-wide: long >>> with a 32-bit count mask.
+			frame[in.d] = int64(uint64(frame[in.a]) >> (uint64(frame[in.b]) & 31))
+		case mDivRemI, mDivRemL:
+			v, err := vm.EvalBinary(bytecode.Op(in.imm), in.op == mDivRemL, frame[in.a], frame[in.b])
 			if err != nil {
 				return c.unwindErr(env, err, backedges)
 			}
 			frame[in.d] = v
-		case mNeg:
-			if in.wide {
-				frame[in.d] = -frame[in.a]
-			} else {
-				frame[in.d] = int64(int32(-frame[in.a]))
-			}
-		case mBitNot:
-			if in.wide {
-				frame[in.d] = ^frame[in.a]
-			} else {
-				frame[in.d] = int64(int32(^frame[in.a]))
-			}
+		case mNegI:
+			frame[in.d] = int64(int32(-frame[in.a]))
+		case mNegL:
+			frame[in.d] = -frame[in.a]
+		case mNotI:
+			frame[in.d] = int64(int32(^frame[in.a]))
+		case mNotL:
+			frame[in.d] = ^frame[in.a]
 		case mL2I:
 			frame[in.d] = int64(int32(frame[in.a]))
-		case mCmp:
-			if in.cond.Eval(frame[in.a], frame[in.b]) {
-				frame[in.d] = 1
-			} else {
-				frame[in.d] = 0
-			}
+		case mCmpEQ:
+			frame[in.d] = b2i(frame[in.a] == frame[in.b])
+		case mCmpNE:
+			frame[in.d] = b2i(frame[in.a] != frame[in.b])
+		case mCmpLT:
+			frame[in.d] = b2i(frame[in.a] < frame[in.b])
+		case mCmpLE:
+			frame[in.d] = b2i(frame[in.a] <= frame[in.b])
+		case mCmpGT:
+			frame[in.d] = b2i(frame[in.a] > frame[in.b])
+		case mCmpGE:
+			frame[in.d] = b2i(frame[in.a] >= frame[in.b])
 		case mGetF:
 			frame[in.d] = env.GetField(int(in.imm))
 		case mPutF:
 			env.SetField(int(in.imm), frame[in.a])
 		case mNewArr:
-			h, err := env.NewArray(in.kind, int64(int32(frame[in.a])))
+			h, err := env.NewArray(ast.Kind(in.imm), int64(int32(frame[in.a])))
 			if err != nil {
 				return c.unwindErr(env, err, backedges)
 			}
@@ -106,19 +205,18 @@ func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
 			// Bounds-check-eliminated load: no check. An in-range
 			// index (which honest BCE guarantees) behaves identically;
 			// the buggy path can observe the canary word.
-			v := rawLoad(env, frame[in.a], int64(int32(frame[in.b])))
-			frame[in.d] = v
+			frame[in.d] = rawLoad(env, frame[in.a], int64(int32(frame[in.b])))
 		case mAStore:
-			ref, idx, val := frame[in.a], int64(int32(frame[in.b])), frame[in.c]
-			if err := env.ArrayStore(ref, idx, val); err != nil {
+			ref, idx := frame[in.a], int64(int32(frame[in.b]))
+			if err := env.ArrayStore(ref, idx, frame[in.d]); err != nil {
 				return c.unwindErr(env, err, backedges)
 			}
 			if c.execBugs.gcBarrier || c.execBugs.gcClear {
 				c.maybeCorrupt(env, ref, idx)
 			}
 		case mAStoreNC, mAStoreRaw:
-			ref, idx, val := frame[in.a], int64(int32(frame[in.b])), frame[in.c]
-			env.ArrayStoreRaw(ref, idx, val)
+			ref, idx := frame[in.a], int64(int32(frame[in.b]))
+			env.ArrayStoreRaw(ref, idx, frame[in.d])
 			if c.execBugs.gcBarrier || c.execBugs.gcClear {
 				c.maybeCorrupt(env, ref, idx)
 			}
@@ -129,8 +227,9 @@ func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
 			}
 			frame[in.d] = n
 		case mCall:
-			callArgs := make([]int64, len(in.args))
-			for i, r := range in.args {
+			regs := c.callRegs[in.a : in.a+in.b]
+			callArgs := f.args[:len(regs)]
+			for i, r := range regs {
 				callArgs[i] = frame[r]
 			}
 			ret, uw := env.CallMethod(int(in.imm), callArgs)
@@ -139,27 +238,30 @@ func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
 			}
 			frame[in.d] = ret
 		case mPrint:
-			env.Print(in.kind, frame[in.a])
+			env.Print(ast.Kind(in.imm), frame[in.a])
 		case mJmp:
-			if int(in.imm) <= pc {
+			t := int(in.imm)
+			if t <= pc {
 				backedges++
 			}
-			pc = int(in.imm)
+			pc = t
 			continue
 		case mBr:
 			if frame[in.a] != 0 {
-				if int(in.imm) <= pc {
+				t := int(in.imm)
+				if t <= pc {
 					backedges++
 				}
-				pc = int(in.imm)
+				pc = t
 				continue
 			}
 		case mSwitch:
 			v := int64(int32(frame[in.a]))
-			t := in.table.deflt
-			for i, val := range in.table.vals {
+			sw := &c.switches[in.b]
+			t := sw.deflt
+			for i, val := range sw.vals {
 				if val == v {
-					t = in.table.targets[i]
+					t = sw.targets[i]
 					break
 				}
 			}
@@ -170,33 +272,47 @@ func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
 			continue
 		case mGuard:
 			if frame[in.a] != in.imm {
-				site := &c.deopts[in.deopt]
-				if c.execBugs.guardStackCrash && len(site.stack) >= 3 {
-					// hs-exec-guard-stack: the trap stub faults.
-					panic(fmt.Sprintf("SIGSEGV: uncommon trap stub, method %s, deopt pc %d", c.name, site.pc))
-				}
-				d := &vm.Deopt{
-					PC:     site.pc,
-					Reason: fmt.Sprintf("speculation failed in %s at bytecode %d", c.name, site.pc),
-				}
-				for _, l := range site.locals {
-					d.Locals = append(d.Locals, readLoc(frame, l))
-				}
-				for _, l := range site.stack {
-					d.Stack = append(d.Stack, readLoc(frame, l))
-				}
-				return vm.ExecResult{Kind: vm.ExecDeopt, Deopt: d, Backedges: backedges}
+				return c.deopt(frame, &c.deopts[in.b], backedges)
 			}
 		case mRet:
 			return vm.ExecResult{Kind: vm.ExecReturn, Value: frame[in.a], Backedges: backedges}
 		case mRetVoid:
 			return vm.ExecResult{Kind: vm.ExecReturn, Backedges: backedges}
+		case mEnd:
+			// The pc of a fall-off is the unfused instruction count.
+			panic(fmt.Sprintf("SIGSEGV: fell off compiled code of %s (pc %d)", c.name, c.size))
 		default:
 			panic(fmt.Sprintf("jit: machine op %d", in.op))
 		}
 		pc++
 	}
-	panic(fmt.Sprintf("SIGSEGV: fell off compiled code of %s (pc %d)", c.name, pc))
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// deopt builds the uncommon-trap exit of a failed guard from its site's
+// frame-state recipe.
+func (c *Code) deopt(frame []int64, site *deoptSite, backedges int64) vm.ExecResult {
+	if c.execBugs.guardStackCrash && len(site.stack) >= 3 {
+		// hs-exec-guard-stack: the trap stub faults.
+		panic(fmt.Sprintf("SIGSEGV: uncommon trap stub, method %s, deopt pc %d", c.name, site.pc))
+	}
+	d := &vm.Deopt{
+		PC:     site.pc,
+		Reason: fmt.Sprintf("speculation failed in %s at bytecode %d", c.name, site.pc),
+	}
+	for _, l := range site.locals {
+		d.Locals = append(d.Locals, readLoc(frame, l))
+	}
+	for _, l := range site.stack {
+		d.Stack = append(d.Stack, readLoc(frame, l))
+	}
+	return vm.ExecResult{Kind: vm.ExecDeopt, Deopt: d, Backedges: backedges}
 }
 
 func (c *Code) unwindErr(env vm.Env, err *vm.RuntimeError, backedges int64) vm.ExecResult {

@@ -27,7 +27,8 @@ type Env interface {
 	// Step consumes abstract execution budget from compiled code.
 	Step(n int64) *Unwind
 	// RegisterRoots adds a GC root scanner for a compiled frame; the
-	// returned function removes it (call on frame exit).
+	// returned function removes the newest scanner (call it on frame
+	// exit: scanners nest LIFO like frames).
 	RegisterRoots(scan func(yield func(v int64))) func()
 }
 

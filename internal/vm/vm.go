@@ -180,6 +180,7 @@ type VM struct {
 	depth         int
 
 	roots   []func(yield func(int64)) // active compiled-frame root scanners
+	popRoot func()                    // removes the newest root scanner
 	frames  []interpFrame             // active interpreter frames (GC roots)
 	unwound *Unwind                   // sticky first unwind (for crash precedence)
 
@@ -682,13 +683,18 @@ func (vm *VM) ArrayLen(ref int64) (int64, *RuntimeError) {
 	return a.Len(), nil
 }
 
-// RegisterRoots adds a frame root scanner for the GC; the returned
-// function removes it. Compiled code registers its register file and
-// spill slots here.
+// RegisterRoots adds a frame root scanner for the GC. Compiled code
+// registers its register file and spill slots here on entry and calls
+// the returned function on exit, so scanners nest LIFO like the frames
+// they describe. The function removes the newest scanner and is the
+// same one for every call, so registering allocates nothing once the
+// scanner stack has reached its deepest nesting.
 func (vm *VM) RegisterRoots(scan func(yield func(int64))) func() {
 	vm.roots = append(vm.roots, scan)
-	idx := len(vm.roots) - 1
-	return func() { vm.roots = vm.roots[:idx] }
+	if vm.popRoot == nil {
+		vm.popRoot = func() { vm.roots = vm.roots[:len(vm.roots)-1] }
+	}
+	return vm.popRoot
 }
 
 // truncate stores a value with the element width of an array.
