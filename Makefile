@@ -26,11 +26,13 @@ test: build
 	$(GO) test -timeout $(TIMEOUT) ./...
 
 # Race-enabled run of the packages with real concurrency: the parallel
-# campaign engine (internal/harness), the per-VM DisablePasses plumbing
-# that concurrent bisection probes rely on (internal/jit, internal/vm),
-# and the root package that drives them from benchmarks.
+# campaign engine (internal/harness), the reducer that tests candidates
+# on concurrent goroutines (internal/reduce), the per-VM DisablePasses
+# plumbing that concurrent bisection probes rely on and the stop flag
+# set from other goroutines (internal/jit, internal/vm), and the root
+# package that drives them from benchmarks.
 race:
-	$(GO) test -race -timeout $(TIMEOUT) ./internal/harness/ ./internal/jit/ ./internal/vm/ .
+	$(GO) test -race -timeout $(TIMEOUT) ./internal/harness/ ./internal/reduce/ ./internal/jit/ ./internal/vm/ .
 
 # Blame smoke gate: bisect the flagship GCM store-sink reproducer and
 # assert the behavior-derived localization names gcm (plus the rest of

@@ -14,6 +14,9 @@
 // is nothing to reduce, and proceeding would shrink toward an
 // unrelated program), 2 on usage errors.
 //
+// Candidates are tested on GOMAXPROCS cores at once and committed in
+// candidate order, so the output is that of a one-at-a-time reduction.
+//
 // With -blame, the reduced reproducer is additionally fault-localized
 // (internal/blame): the guilty optimization passes and the minimal
 // forced-compilation method set are reported on stderr.
@@ -27,7 +30,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"artemis/internal/blame"
@@ -40,55 +45,73 @@ import (
 )
 
 func main() {
-	profileName := flag.String("profile", "hotspotlike", "VM profile")
-	mode := flag.String("mode", "diff", "predicate: diff | crash")
-	steps := flag.Int64("steps", 100_000_000, "per-run step budget")
-	rounds := flag.Int("rounds", 12, "max reduction rounds")
-	blameOn := flag.Bool("blame", false, "after reduction, bisect the guilty pass set and shrink the forced-compilation method set")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, runtime.GOMAXPROCS(0)))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mjreduce [flags] program.mj")
-		os.Exit(2)
+// run is the command with its arguments, output streams and exit
+// status made explicit; workers is how many reduction candidates it
+// tests at once, which changes only how fast the result comes.
+func run(args []string, stdout, stderr io.Writer, workers int) int {
+	fs := flag.NewFlagSet("mjreduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	profileName := fs.String("profile", "hotspotlike", "VM profile")
+	mode := fs.String("mode", "diff", "predicate: diff | crash")
+	steps := fs.Int64("steps", 100_000_000, "per-run step budget")
+	rounds := fs.Int("rounds", 12, "max reduction rounds")
+	blameOn := fs.Bool("blame", false, "after reduction, bisect the guilty pass set and shrink the forced-compilation method set")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	data, err := os.ReadFile(flag.Arg(0))
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mjreduce:", err)
+		return 1
+	}
+
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: mjreduce [flags] program.mj")
+		return 2
+	}
+	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	prog, err := parser.Parse(string(data))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	prof, err := profiles.Get(*profileName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: *steps}
-	keep, err := kc.ForMode(*mode)
+	keep, err := kc.TestForMode(*mode)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	before := ast.ProgramSize(prog)
-	small, ok := reduce.ReduceChecked(prog, keep, reduce.Options{MaxRounds: *rounds})
+	small, ok := reduce.ReduceParallel(prog, keep, workers, reduce.Options{MaxRounds: *rounds})
 	if !ok {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"mjreduce: %s never triggers the %q finding on profile %s — nothing to reduce\n"+
 				"mjreduce: (check -profile, -mode and -steps match how the finding was produced)\n",
-			flag.Arg(0), *mode, prof.Name)
-		os.Exit(1)
+			fs.Arg(0), *mode, prof.Name)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "mjreduce: %d -> %d statements\n", before, ast.ProgramSize(small))
+	fmt.Fprintf(stderr, "mjreduce: %d -> %d statements\n", before, ast.ProgramSize(small))
 	if *blameOn {
-		localize(small, prof, *mode, *steps)
+		localize(stderr, small, prof, *mode, *steps)
 	}
-	fmt.Print(ast.Print(small))
+	fmt.Fprint(stdout, ast.Print(small))
+	return 0
 }
 
 // localize fault-localizes the reduced reproducer and reports the
 // result on stderr (stdout stays the reduced program only).
-func localize(prog *ast.Program, prof *profiles.Profile, mode string, steps int64) {
+func localize(stderr io.Writer, prog *ast.Program, prof *profiles.Profile, mode string, steps int64) {
 	var symptom blame.Symptom
 	if mode == "crash" {
 		symptom = func(out *vm.Output) bool { return out.Term == vm.TermCrash }
@@ -97,7 +120,7 @@ func localize(prog *ast.Program, prof *profiles.Profile, mode string, steps int6
 		intCfg.StepLimit = steps
 		ref := vm.Run(intCfg, harness.Compile(prog)).Output
 		if ref.Term == vm.TermTimeout {
-			fmt.Fprintln(os.Stderr, "mjreduce: blame skipped (interpreted reference times out)")
+			fmt.Fprintln(stderr, "mjreduce: blame skipped (interpreted reference times out)")
 			return
 		}
 		symptom = func(out *vm.Output) bool {
@@ -105,18 +128,13 @@ func localize(prog *ast.Program, prof *profiles.Profile, mode string, steps int6
 		}
 	}
 	res := blame.Localize(prog, symptom, blame.Config{Profile: prof, Bugs: prof.BugSet(), StepLimit: steps})
-	fmt.Fprintf(os.Stderr, "mjreduce: blame: passes %s (%d probe runs)\n", res.PassLabel(), res.Runs)
+	fmt.Fprintf(stderr, "mjreduce: blame: passes %s (%d probe runs)\n", res.PassLabel(), res.Runs)
 	if res.SpaceVerdict == blame.VerdictMinimal {
-		fmt.Fprintf(os.Stderr, "mjreduce: blame: minimal forced-compilation set {%s}\n", strings.Join(res.MinimalMethods, ","))
+		fmt.Fprintf(stderr, "mjreduce: blame: minimal forced-compilation set {%s}\n", strings.Join(res.MinimalMethods, ","))
 	} else {
-		fmt.Fprintf(os.Stderr, "mjreduce: blame: space %s\n", res.SpaceVerdict)
+		fmt.Fprintf(stderr, "mjreduce: blame: space %s\n", res.SpaceVerdict)
 	}
 	if res.IRInvariant != "" {
-		fmt.Fprintf(os.Stderr, "mjreduce: blame: IR invariant broken: %s\n", res.IRInvariant)
+		fmt.Fprintf(stderr, "mjreduce: blame: IR invariant broken: %s\n", res.IRInvariant)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mjreduce:", err)
-	os.Exit(1)
 }

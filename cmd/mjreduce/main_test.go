@@ -1,0 +1,68 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"artemis/internal/harness"
+	"artemis/internal/lang/ast"
+	"artemis/internal/lang/parser"
+	"artemis/internal/profiles"
+	"artemis/internal/reduce"
+)
+
+// gcmReproducer is the flagship GCM store-sink reproducer (JDK-8288975,
+// the paper's Figure 2) with a driver loop hot enough to tier up: its
+// compiled output differs from interpretation on hotspotlike.
+const gcmReproducer = `class T {
+    int l = 0;
+    int unused = 3;
+    void g() {
+        for (int i = 0; i < 10; i++) {
+            for (int w = 0; w < 13; w += 4) { }
+            l += 2;
+        }
+    }
+    void main() {
+        for (int r = 0; r < 2000; r++) { l = 0; g(); }
+        print(l);
+        print(unused);
+    }
+}`
+
+// TestOutputMatchesSequentialReduction: mjreduce tests several
+// candidates at once, but what it prints is byte for byte the program
+// a one-at-a-time reduction under the same predicate produces.
+func TestOutputMatchesSequentialReduction(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gcm.mj")
+	if err := os.WriteFile(path, []byte(gcmReproducer), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := parser.Parse(gcmReproducer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profiles.Get("hotspotlike")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: 100_000_000}
+	want, ok := reduce.ReduceChecked(prog, kc.Diff(), reduce.Options{MaxRounds: 12})
+	if !ok {
+		t.Fatal("the GCM reproducer no longer shows a discrepancy on hotspotlike")
+	}
+	if ast.ProgramSize(want) >= ast.ProgramSize(prog) {
+		t.Fatal("the sequential reduction removed nothing; the comparison would be vacuous")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-profile", "hotspotlike", path}, &stdout, &stderr, workers); code != 0 {
+			t.Fatalf("workers=%d: exit %d: %s", workers, code, stderr.String())
+		}
+		if stdout.String() != ast.Print(want) {
+			t.Errorf("workers=%d: mjreduce printed\n%s\nwant\n%s", workers, stdout.String(), ast.Print(want))
+		}
+	}
+}

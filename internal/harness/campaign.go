@@ -78,9 +78,9 @@ type CampaignOptions struct {
 	// (0 = blame.DefaultBudget).
 	BlameBudget int
 
-	// seedHook runs at the start of each seed (test-only: panic and
-	// timeout injection).
-	seedHook func(idx int, seedID int64)
+	// seedHook runs at the start of each seed with the seed's stop flag
+	// (nil without SeedTimeout); test-only: panic and timeout injection.
+	seedHook func(idx int, seedID int64, stop *atomic.Bool)
 }
 
 // DedupFinding is a distinct finding with its duplicate count.
@@ -243,7 +243,7 @@ func RunResumableCampaign(opts CampaignOptions) (*CampaignStats, error) {
 		}
 	}
 	if opts.CorpusDir != "" {
-		c, err := newCorpusWriter(opts)
+		c, err := newCorpusWriter(opts, workers)
 		if err != nil {
 			if m.journal != nil {
 				m.journal.Close()

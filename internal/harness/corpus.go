@@ -50,9 +50,13 @@ type corpusWriter struct {
 	dir    string
 	kc     KeepConfig
 	budget int // keep evaluations per finding; <0 disables reduction
+	// workers is how many reduction candidates are tested at once: the
+	// campaign's worker count, whose seed workers wait on the merger
+	// while it reduces.
+	workers int
 }
 
-func newCorpusWriter(opts CampaignOptions) (*corpusWriter, error) {
+func newCorpusWriter(opts CampaignOptions, workers int) (*corpusWriter, error) {
 	if err := os.MkdirAll(opts.CorpusDir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus dir: %w", err)
 	}
@@ -67,7 +71,8 @@ func newCorpusWriter(opts CampaignOptions) (*corpusWriter, error) {
 			Bugs:      opts.Options.bugSet(),
 			StepLimit: opts.Options.StepLimit,
 		},
-		budget: budget,
+		budget:  budget,
+		workers: workers,
 	}, nil
 }
 
@@ -209,7 +214,9 @@ func (c *corpusWriter) writeBlame(signature string, res *blame.Result) error {
 }
 
 // autoReduce shrinks the reproducer under the signature-preserving
-// predicate, spending at most c.budget predicate evaluations. It
+// predicate, spending at most c.budget predicate evaluations (counted
+// as a one-at-a-time reduction counts them, so the reduced program does
+// not depend on c.workers). It
 // returns nil (with a reason) when the finding kind has no in-campaign
 // predicate, reduction is disabled, or the reproducer does not satisfy
 // the predicate standalone (e.g. a discrepancy only observable against
@@ -228,7 +235,7 @@ func (c *corpusWriter) autoReduce(f Finding, src string) (*ast.Program, string) 
 		// bug worth recording, not worth killing the campaign over.
 		return nil, fmt.Sprintf("reproducer does not reparse: %v", err)
 	}
-	reduced, ok := reduce.ReduceChecked(prog, budgetedPredicate(keep, c.budget), reduce.Options{})
+	reduced, ok := reduce.ReduceParallel(prog, keep, c.workers, reduce.Options{MaxEvals: c.budget})
 	if !ok {
 		return nil, "reproducer does not re-trigger the signature standalone; stored unreduced"
 	}

@@ -4,13 +4,21 @@
 // shared by cmd/mjreduce (interactive reduction) and the campaign
 // auto-reducer (corpus.go), so the two can never drift apart on what
 // "still triggers the bug" means.
+//
+// Every predicate is built as a reduce.Test: each evaluation runs
+// fresh VMs, so it is safe for concurrent use, and it passes the
+// reducer's stop flag into its runs, so a superseded evaluation ends
+// within vm.StopPoll steps. The reduce.Predicate methods wrap the same
+// tests with no stop flag.
 
 package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"artemis/internal/bugs"
+	"artemis/internal/bytecode"
 	"artemis/internal/lang/ast"
 	"artemis/internal/profiles"
 	"artemis/internal/reduce"
@@ -18,9 +26,9 @@ import (
 )
 
 // KeepConfig builds re-validation predicates for reduction. Each
-// predicate evaluation costs two VM runs (the seeded-defect VM with
-// its default JIT policy, and pure interpretation as the reference),
-// each bounded by StepLimit.
+// predicate evaluation costs at most two VM runs (the seeded-defect VM
+// with its default JIT policy, and pure interpretation as the
+// reference), each bounded by StepLimit.
 type KeepConfig struct {
 	Profile *profiles.Profile
 	// Bugs is the defect set the predicate hunts in; nil reduces
@@ -37,115 +45,118 @@ func (kc KeepConfig) limit() int64 {
 	return Options{}.withDefaults().StepLimit
 }
 
-// runJIT executes p on the seeded-defect VM with its default policy.
-func (kc KeepConfig) runJIT(p *ast.Program) *vm.Output {
-	cfg := kc.Profile.VMConfigWithBugs(kc.Bugs)
+// run executes bp under cfg within the predicate step budget; setting
+// stop abandons the run.
+func (kc KeepConfig) run(cfg vm.Config, bp *bytecode.Program, stop *atomic.Bool) *vm.Output {
 	cfg.StepLimit = kc.limit()
-	return vm.Run(cfg, Compile(p)).Output
+	cfg.Stop = stop
+	return vm.Run(cfg, bp).Output
 }
 
-// runBoth executes p on the seeded-defect VM and the interpreter.
-func (kc KeepConfig) runBoth(p *ast.Program) (jit, interp *vm.Output) {
+// runJIT executes p on the seeded-defect VM with its default policy.
+func (kc KeepConfig) runJIT(p *ast.Program, stop *atomic.Bool) *vm.Output {
+	return kc.run(kc.Profile.VMConfigWithBugs(kc.Bugs), Compile(p), stop)
+}
+
+// runBoth executes p on the seeded-defect VM and then on the
+// interpreter. When the first run is inconclusive the interpreted run
+// is skipped and interp is nil: every predicate comparing the two
+// rejects a timed-out run whatever the other one does.
+func (kc KeepConfig) runBoth(p *ast.Program, stop *atomic.Bool) (jit, interp *vm.Output) {
 	bp := Compile(p)
-	jitCfg := kc.Profile.VMConfigWithBugs(kc.Bugs)
-	jitCfg.StepLimit = kc.limit()
-	jit = vm.Run(jitCfg, bp).Output
-	intCfg := kc.Profile.InterpreterConfig()
-	intCfg.StepLimit = kc.limit()
-	interp = vm.Run(intCfg, bp).Output
-	return jit, interp
+	jit = kc.run(kc.Profile.VMConfigWithBugs(kc.Bugs), bp, stop)
+	if !jit.Conclusive() {
+		return jit, nil
+	}
+	return jit, kc.run(kc.Profile.InterpreterConfig(), bp, stop)
+}
+
+// crashes keeps programs that crash the seeded-defect VM with a crash
+// signature that match accepts.
+func (kc KeepConfig) crashes(match func(sig string) bool) reduce.Test {
+	return func(p *ast.Program, stop *atomic.Bool) bool {
+		out := kc.runJIT(p, stop)
+		return out.Term == vm.TermCrash &&
+			match(signatureOf(CrashFinding, kc.Profile.Name, componentOf(out.Detail), out.Detail))
+	}
+}
+
+// diverges keeps programs whose seeded-defect output differs from the
+// interpreted reference with a mis-compilation signature that match
+// accepts. Inconclusive runs are never kept. The interpreted run
+// stands in for the original seed reference: JoNM mutants are
+// semantics-preserving, so for a genuine mis-compilation the two
+// references agree.
+func (kc KeepConfig) diverges(match func(sig string) bool) reduce.Test {
+	return func(p *ast.Program, stop *atomic.Bool) bool {
+		jit, interp := kc.runBoth(p, stop)
+		if interp == nil || !interp.Conclusive() || jit.Equivalent(interp) {
+			return false
+		}
+		detail := fmt.Sprintf("%s-vs-%s", interp.Term, jit.Term)
+		return match(signatureOf(Miscompilation, kc.Profile.Name, "", detail))
+	}
+}
+
+func anySignature(string) bool { return true }
+
+func signatureIs(want string) func(string) bool {
+	return func(sig string) bool { return sig == want }
 }
 
 // Crash keeps programs that crash the seeded-defect VM (any crash).
-func (kc KeepConfig) Crash() reduce.Predicate {
-	return func(p *ast.Program) bool {
-		return kc.runJIT(p).Term == vm.TermCrash
-	}
-}
+func (kc KeepConfig) Crash() reduce.Predicate { return kc.crashes(anySignature).Predicate() }
 
 // Diff keeps programs whose seeded-defect output differs from the
 // interpreted reference (timeouts are inconclusive and never kept).
-func (kc KeepConfig) Diff() reduce.Predicate {
-	return func(p *ast.Program) bool {
-		jit, interp := kc.runBoth(p)
-		if jit.Term == vm.TermTimeout || interp.Term == vm.TermTimeout {
-			return false
-		}
-		return !jit.Equivalent(interp)
-	}
-}
+func (kc KeepConfig) Diff() reduce.Predicate { return kc.diverges(anySignature).Predicate() }
 
 // CrashSignature keeps programs that crash with exactly the given
 // dedup signature — the predicate the campaign auto-reducer uses so a
 // reduced reproducer provably still triggers the same finding.
 func (kc KeepConfig) CrashSignature(sig string) reduce.Predicate {
-	return func(p *ast.Program) bool {
-		out := kc.runJIT(p)
-		if out.Term != vm.TermCrash {
-			return false
-		}
-		return signatureOf(CrashFinding, kc.Profile.Name, componentOf(out.Detail), out.Detail) == sig
-	}
+	return kc.crashes(signatureIs(sig)).Predicate()
 }
 
 // MiscompileSignature keeps programs whose seeded-defect run diverges
 // from interpretation with exactly the given mis-compilation
-// signature. The interpreted run stands in for the original seed
-// reference: JoNM mutants are semantics-preserving, so for a genuine
-// mis-compilation the two references agree.
+// signature.
 func (kc KeepConfig) MiscompileSignature(sig string) reduce.Predicate {
-	return func(p *ast.Program) bool {
-		jit, interp := kc.runBoth(p)
-		if jit.Term == vm.TermTimeout || interp.Term == vm.TermTimeout {
-			return false
-		}
-		if jit.Equivalent(interp) {
-			return false
-		}
-		detail := fmt.Sprintf("%s-vs-%s", interp.Term, jit.Term)
-		return signatureOf(Miscompilation, kc.Profile.Name, "", detail) == sig
-	}
+	return kc.diverges(signatureIs(sig)).Predicate()
 }
 
 // ForMode maps a cmd/mjreduce -mode value to its predicate.
 func (kc KeepConfig) ForMode(mode string) (reduce.Predicate, error) {
+	t, err := kc.TestForMode(mode)
+	if err != nil {
+		return nil, err
+	}
+	return t.Predicate(), nil
+}
+
+// TestForMode is ForMode as a reduce.Test, for reduce.ReduceParallel.
+func (kc KeepConfig) TestForMode(mode string) (reduce.Test, error) {
 	switch mode {
 	case "crash":
-		return kc.Crash(), nil
+		return kc.crashes(anySignature), nil
 	case "diff":
-		return kc.Diff(), nil
+		return kc.diverges(anySignature), nil
 	default:
 		return nil, fmt.Errorf("unknown mode %q (want diff or crash)", mode)
 	}
 }
 
-// keepForFinding returns the signature-preserving predicate for an
+// keepForFinding returns the signature-preserving test for an
 // auto-reduced finding, or nil when the finding kind has no cheap
 // re-validation predicate (performance findings need timeout-priced
 // runs per candidate, far too slow for an in-campaign stage).
-func keepForFinding(kc KeepConfig, f Finding) reduce.Predicate {
+func keepForFinding(kc KeepConfig, f Finding) reduce.Test {
 	switch f.Kind {
 	case CrashFinding:
-		return kc.CrashSignature(f.Signature)
+		return kc.crashes(signatureIs(f.Signature))
 	case Miscompilation:
-		return kc.MiscompileSignature(f.Signature)
+		return kc.diverges(signatureIs(f.Signature))
 	default:
 		return nil
-	}
-}
-
-// budgetedPredicate caps how many times keep may be evaluated; once
-// the budget is spent every candidate is rejected, so an in-flight
-// reduction winds down in O(current candidate list) instead of
-// stalling campaign throughput. Count-based (not wall-clock), so a
-// resumed campaign reduces identically to an uninterrupted one.
-func budgetedPredicate(keep reduce.Predicate, evals int) reduce.Predicate {
-	remaining := evals
-	return func(p *ast.Program) bool {
-		if remaining <= 0 {
-			return false
-		}
-		remaining--
-		return keep(p)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"artemis/internal/fuzz"
@@ -45,10 +46,11 @@ type seedOutcome struct {
 // 1), and optionally the traditional baseline. A panic anywhere in the
 // chain is converted into an internal-error finding so one bad seed
 // cannot take down a campaign that has hours of work behind it.
-// scratch is this worker's reusable VM memory (may be nil); it is
-// threaded into every run of the chain, including the comparative
-// baseline, which also reuses the seed program Validate compiled.
-func runSeed(opts CampaignOptions, idx int, scratch *vm.Scratch) (out seedOutcome) {
+// scratch is this worker's reusable VM memory (may be nil) and stop
+// the seed's stop flag (may be nil); both are threaded into every run
+// of the chain, including the comparative baseline, which also reuses
+// the seed program Validate compiled.
+func runSeed(opts CampaignOptions, idx int, scratch *vm.Scratch, stop *atomic.Bool) (out seedOutcome) {
 	out.idx = idx
 	seedID := opts.SeedBase + int64(idx)
 	defer func() {
@@ -58,13 +60,14 @@ func runSeed(opts CampaignOptions, idx int, scratch *vm.Scratch) (out seedOutcom
 		}
 	}()
 	if opts.seedHook != nil {
-		opts.seedHook(idx, seedID)
+		opts.seedHook(idx, seedID, stop)
 	}
 	seedProg := fuzz.Generate(fuzz.Options{Seed: seedID})
 
 	o := opts.Options
 	o.Rand = rand.New(rand.NewSource(seedID * 7919))
 	o.scratch = scratch
+	o.stop = stop
 	out.res = Validate(seedProg, seedID, o)
 	if out.res.SeedDiscarded {
 		return out
@@ -97,29 +100,24 @@ func panicResult(profile string, seedID int64, r any) *Result {
 
 // runSeedBounded applies the optional per-seed wall-clock budget: a
 // seed that exceeds it is discarded (feeding DiscardedSeeds, like the
-// step-budget discard of Section 4.3). The abandoned goroutine drains
-// into a buffered channel and finishes in the background. Note that a
+// step-budget discard of Section 4.3). When the budget runs out, the
+// timer sets the stop flag every run of the chain polls, so the chain
+// winds down within vm.StopPoll steps per remaining run, on this worker
+// and with its scratch, and nothing outlives the call. Note that a
 // wall-clock cutoff is inherently timing-dependent: campaigns that
 // need bit-exact reproducibility should leave SeedTimeout at 0 and
 // rely on the deterministic StepLimit instead.
 func runSeedBounded(opts CampaignOptions, idx int, scratch *vm.Scratch) seedOutcome {
 	if opts.SeedTimeout <= 0 {
-		return runSeed(opts, idx, scratch)
+		return runSeed(opts, idx, scratch, nil)
 	}
-	// The bounded goroutine may outlive this call (abandoned on
-	// timeout, still running while the worker moves on), so it must
-	// not share the worker's scratch: give it a fresh one. Reuse still
-	// happens across the dozens of runs within the seed's own chain.
-	ch := make(chan seedOutcome, 1)
-	go func() { ch <- runSeed(opts, idx, &vm.Scratch{}) }()
-	timer := time.NewTimer(opts.SeedTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out
-	case <-timer.C:
+	var stop atomic.Bool
+	timer := time.AfterFunc(opts.SeedTimeout, func() { stop.Store(true) })
+	out := runSeed(opts, idx, scratch, &stop)
+	if !timer.Stop() {
 		return seedOutcome{idx: idx, res: &Result{SeedDiscarded: true}}
 	}
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestCampaignPanicIsolation(t *testing.T) {
 	prof := profile(t, "openj9like")
 	const panicIdx = 5
 	const seeds = 12
-	base := func(workers, n int, hook func(idx int, seedID int64)) *CampaignStats {
+	base := func(workers, n int, hook func(idx int, seedID int64, stop *atomic.Bool)) *CampaignStats {
 		return RunCampaign(CampaignOptions{
 			Options:  Options{Profile: prof, MaxIter: 4, Buggy: true},
 			Seeds:    n,
@@ -101,7 +102,7 @@ func TestCampaignPanicIsolation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			injected := base(workers, seeds, func(idx int, seedID int64) {
+			injected := base(workers, seeds, func(idx int, seedID int64, _ *atomic.Bool) {
 				if idx == panicIdx {
 					panic("injected test panic")
 				}
@@ -161,8 +162,9 @@ func TestCampaignSeedTimeout(t *testing.T) {
 	// race detector alone is a ~10x slowdown): the wall-clock budget
 	// is derived from the measured per-seed cost of a baseline
 	// campaign (10x margin for healthy seeds), and the stuck seed
-	// sleeps several budgets past it. Some seeds are also discarded
-	// intrinsically (deterministic StepLimit), so assert the
+	// stalls until the harness stops it, as a VM run polling its stop
+	// flag does, or for several budgets past it. Some seeds are also
+	// discarded intrinsically (deterministic StepLimit), so assert the
 	// wall-clock discard as a delta over the baseline.
 	const slowIdx = 2
 	opts := CampaignOptions{
@@ -176,9 +178,12 @@ func TestCampaignSeedTimeout(t *testing.T) {
 		budget = 2 * time.Second
 	}
 	opts.SeedTimeout = budget
-	opts.seedHook = func(idx int, seedID int64) {
-		if idx == slowIdx {
-			time.Sleep(5 * budget)
+	opts.seedHook = func(idx int, seedID int64, stop *atomic.Bool) {
+		if idx != slowIdx {
+			return
+		}
+		for deadline := time.Now().Add(5 * budget); !stop.Load() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 		}
 	}
 	stats := RunCampaign(opts)
@@ -252,7 +257,7 @@ func TestValidateSourceInvariant(t *testing.T) {
 		out := runSeed(CampaignOptions{
 			Options:  Options{Profile: prof, MaxIter: 3, Buggy: true},
 			SeedBase: 100,
-		}, i, nil)
+		}, i, nil, nil)
 		if out.res.SeedDiscarded {
 			continue
 		}

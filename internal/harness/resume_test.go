@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"artemis/internal/journal"
-	"artemis/internal/lang/ast"
 	"artemis/internal/lang/parser"
+	"artemis/internal/reduce"
 	"artemis/internal/vm"
 )
 
@@ -288,7 +288,7 @@ func TestCorpusEntries(t *testing.T) {
 			t.Errorf("entry %s: reduced entry for kind %s which has no predicate", entry, f.Kind)
 			continue
 		}
-		if !keep(prog) {
+		if !keep(prog, nil) {
 			t.Errorf("entry %s: reduced reproducer no longer triggers signature %q", entry, f.Signature)
 		}
 	}
@@ -336,6 +336,56 @@ func TestCorpusIdempotentAcrossResume(t *testing.T) {
 	for name, sum := range before {
 		if after[name] != sum {
 			t.Errorf("corpus file %s changed across resume", name)
+		}
+	}
+}
+
+// TestCorpusDeterministicAcrossWorkers: the auto-reducer tests as many
+// candidates at once as the campaign has workers, yet every corpus
+// file — seed, mutant, reduced reproducer, finding.json and blame.json
+// — is byte-identical at workers 1, 2 and 4.
+func TestCorpusDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three corpus campaigns are slow")
+	}
+	var want map[string]string
+	for _, workers := range []int{1, 2, 4} {
+		dir := filepath.Join(t.TempDir(), "corpus")
+		_, err := RunResumableCampaign(CampaignOptions{
+			Options:   Options{Profile: profile(t, "openj9like"), Buggy: true, StepLimit: 2_000_000},
+			Seeds:     9,
+			SeedBase:  20057,
+			Workers:   workers,
+			CorpusDir: dir,
+			Blame:     true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := corpusSnapshot(t, dir)
+		if workers == 1 {
+			want = got
+			reduced, blamed := 0, 0
+			for name := range got {
+				switch filepath.Base(name) {
+				case "reduced.mj":
+					reduced++
+				case "blame.json":
+					blamed++
+				}
+			}
+			if reduced == 0 || blamed == 0 {
+				t.Fatalf("corpus holds %d reduced reproducers and %d blame files; the comparison would be vacuous", reduced, blamed)
+			}
+			continue
+		}
+		for name, data := range want {
+			if got[name] != data {
+				t.Errorf("workers=%d: corpus file %s differs from workers=1", workers, name)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("workers=%d: %d corpus files, workers=1 wrote %d", workers, len(got), len(want))
 		}
 	}
 }
@@ -395,25 +445,24 @@ func TestKeepPredicateModes(t *testing.T) {
 	if kc.MiscompileSignature("miscompile|openj9like|normal-vs-normal")(benign) {
 		t.Error("miscompile-signature predicate kept a clean program")
 	}
-	if out := kc.runJIT(benign); out.Term != vm.TermNormal {
+	if out := kc.runJIT(benign, nil); out.Term != vm.TermNormal {
 		t.Errorf("benign program terminated %v", out.Term)
 	}
-}
 
-// TestBudgetedPredicate: once the budget is spent every candidate is
-// rejected and the underlying predicate is never consulted again —
-// the property that makes in-campaign reduction unable to stall.
-func TestBudgetedPredicate(t *testing.T) {
-	calls := 0
-	p := budgetedPredicate(func(*ast.Program) bool { calls++; return true }, 3)
-	prog := mustParse(t, `class T { void main() { print(1); } }`)
-	for i := 0; i < 10; i++ {
-		want := i < 3
-		if got := p(prog); got != want {
-			t.Errorf("evaluation %d: got %v, want %v", i, got, want)
+	// A program that loops past StepLimit: every predicate rejects it,
+	// and the comparing predicates skip the interpreted run, which
+	// could not change their verdict.
+	loop := mustParse(t, `class T { void main() { int i = 0; while (true) { i = i + 1; } } }`)
+	for name, keep := range map[string]reduce.Predicate{
+		"crash":                kc.Crash(),
+		"diff":                 kc.Diff(),
+		"miscompile-signature": kc.MiscompileSignature("miscompile|openj9like|normal-vs-timeout"),
+	} {
+		if keep(loop) {
+			t.Errorf("%s predicate kept a looping program", name)
 		}
 	}
-	if calls != 3 {
-		t.Errorf("underlying predicate consulted %d times, want 3", calls)
+	if jit, interp := kc.runBoth(loop, nil); jit.Term != vm.TermTimeout || interp != nil {
+		t.Errorf("runBoth on a looping program: JIT run %v, interpreted run %v; want timeout and skipped", jit.Term, interp)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"regexp"
 	"strings"
+	"sync/atomic"
 
 	"artemis/internal/bugs"
 	"artemis/internal/bytecode"
@@ -172,6 +173,9 @@ type Options struct {
 	// Must not be shared between concurrently executing Validate calls
 	// (see vm.Scratch).
 	scratch *vm.Scratch
+	// stop, when non-nil, is passed to every run as vm.Config.Stop: the
+	// per-seed wall-clock budget sets it to cut the seed's chain short.
+	stop *atomic.Bool
 }
 
 func (o Options) withDefaults() Options {
@@ -210,17 +214,24 @@ func (o Options) mutationConfig() *jonm.Config {
 	}
 }
 
-// runProgram executes bp on the profile VM with the given bug set.
-func runProgram(o Options, set bugs.Set, bp *bytecode.Program) *vm.Result {
-	cfg := o.Profile.VMConfigWithBugs(set)
+// runConfig applies o's per-run settings to cfg: the step budget, the
+// worker's scratch memory, the seed's stop flag and, for metered runs,
+// stats and trace collection.
+func (o Options) runConfig(cfg vm.Config, metered bool) vm.Config {
 	cfg.StepLimit = o.StepLimit
 	cfg.Scratch = o.scratch
-	if o.CollectMetrics {
+	cfg.Stop = o.stop
+	if metered && o.CollectMetrics {
 		cfg.CollectStats = true
 		cfg.RecordTrace = true
 		cfg.TraceLimit = o.TraceLimit
 	}
-	return vm.Run(cfg, bp)
+	return cfg
+}
+
+// runProgram executes bp on the profile VM with the given bug set.
+func runProgram(o Options, set bugs.Set, bp *bytecode.Program) *vm.Result {
+	return vm.Run(o.runConfig(o.Profile.VMConfigWithBugs(set), true), bp)
 }
 
 // Result is one seed's validation outcome.
@@ -271,7 +282,7 @@ func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 	seedBP := bytecode.MustCompile(seedInfo)
 	res.seedBP = seedBP
 	ref := record(runProgram(o, set, seedBP)).Output
-	if ref.Term == vm.TermTimeout {
+	if !ref.Conclusive() {
 		res.SeedDiscarded = true
 		return res
 	}
@@ -298,23 +309,15 @@ func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 		if out.Term == vm.TermTimeout {
 			// Distinguish "mutant is just hot" from a JIT-induced
 			// performance collapse: rerun without JIT.
-			intCfg := o.Profile.InterpreterConfig()
-			intCfg.StepLimit = o.StepLimit
-			intCfg.Scratch = o.scratch
-			if o.CollectMetrics {
-				intCfg.CollectStats = true
-				intCfg.RecordTrace = true
-				intCfg.TraceLimit = o.TraceLimit
-			}
-			intOut := record(vm.Run(intCfg, mbp)).Output
-			if intOut.Term != vm.TermTimeout {
+			intOut := record(vm.Run(o.runConfig(o.Profile.InterpreterConfig(), true), mbp)).Output
+			if intOut.Conclusive() {
 				f := perfFinding(o, set, mbp, seedID, i, out, intOut, outRes.Trace, res)
 				res.Findings = append(res.Findings, f)
 				res.MutantSources = append(res.MutantSources, ast.Print(mutant))
 			}
 			continue
 		}
-		if out.Equivalent(ref) {
+		if out.Term == vm.TermStopped || out.Equivalent(ref) {
 			continue
 		}
 		f := newFinding(o, set, mbp, seedID, i, ref, out)
@@ -334,9 +337,7 @@ func perfFinding(o Options, set bugs.Set, mbp *bytecode.Program, seedID int64, m
 	if trace == nil {
 		// Metrics were off, so the compiled run kept no trace; rerun
 		// once with tracing to attribute the slowdown.
-		cfg := o.Profile.VMConfigWithBugs(set)
-		cfg.StepLimit = o.StepLimit
-		cfg.Scratch = o.scratch
+		cfg := o.runConfig(o.Profile.VMConfigWithBugs(set), false)
 		cfg.RecordTrace = true
 		trace = vm.Run(cfg, mbp).Trace
 		res.Runs++
@@ -435,19 +436,17 @@ func TraditionalDiscrepancy(seedBP *bytecode.Program, o Options) (bool, int) {
 	set := o.bugSet()
 	ref := runProgram(o, set, seedBP).Output
 	runs := 1
-	if ref.Term == vm.TermTimeout {
+	if !ref.Conclusive() {
 		return false, runs
 	}
-	cfg := o.Profile.VMConfigWithBugs(set)
-	cfg.StepLimit = o.StepLimit
-	cfg.Scratch = o.scratch
+	cfg := o.runConfig(o.Profile.VMConfigWithBugs(set), false)
 	cfg.Policy = &vm.ForcedPolicy{
 		Tier:   o.Profile.MaxTier,
 		Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 	}
 	full := vm.Run(cfg, seedBP).Output
 	runs++
-	if full.Term == vm.TermTimeout {
+	if !full.Conclusive() {
 		return false, runs
 	}
 	return !full.Equivalent(ref), runs

@@ -5,14 +5,22 @@
 // reproducer.
 //
 // The reducer is syntax-guided delta debugging on the AST: candidate
-// transformations (drop a statement, unwrap a loop or conditional,
-// inline a block, simplify an initializer) are attempted greedily and
-// kept whenever the program stays valid and the predicate still
-// holds. Like C-Reduce, transformations need not preserve semantics —
-// only the predicate matters.
+// transformations (drop a method, field or run of statements, unwrap a
+// loop, conditional or block) are attempted greedily in a fixed order,
+// and the first one that keeps the program valid and the predicate
+// true is kept. Like C-Reduce, transformations need not preserve
+// semantics — only the predicate matters.
+//
+// Like C-Reduce, ReduceParallel tests several candidates at once, but
+// it commits them in candidate order: the first candidate accepted in
+// order wins, and the evaluations of later candidates still running are
+// stopped and dropped. Its result is therefore the one-at-a-time
+// result for any number of workers.
 package reduce
 
 import (
+	"sync/atomic"
+
 	"artemis/internal/lang/ast"
 	"artemis/internal/lang/sem"
 )
@@ -21,10 +29,28 @@ import (
 // (e.g. still triggers the discrepancy). It must be deterministic.
 type Predicate func(*ast.Program) bool
 
+// Test is a Predicate that ReduceParallel may evaluate on several
+// candidates at once: it must be deterministic and safe for concurrent
+// use, and it should give up soon after stop is set (stop is nil when
+// nothing can stop it). The answer of a stopped evaluation is ignored.
+type Test func(p *ast.Program, stop *atomic.Bool) bool
+
+// Predicate returns t as a Predicate that is never stopped.
+func (t Test) Predicate() Predicate {
+	return func(p *ast.Program) bool { return t(p, nil) }
+}
+
 // Options tunes reduction.
 type Options struct {
 	// MaxRounds bounds full fixpoint rounds (default 20).
 	MaxRounds int
+	// MaxEvals caps predicate evaluations, the precondition probe
+	// included (0 = no cap). Once it is spent every later candidate is
+	// rejected, so a reduction winds down instead of stalling its
+	// caller. Evaluations are counted in candidate order, as a
+	// one-at-a-time reduction makes them, so the cap ends a reduction
+	// at the same candidate for any number of workers.
+	MaxEvals int
 }
 
 // Reduce returns the smallest program found that satisfies keep.
@@ -43,32 +69,64 @@ func Reduce(p *ast.Program, keep Predicate, opts Options) *ast.Program {
 // ReduceChecked is Reduce with an explicit precondition report: the
 // second return value is false — and the input comes back as an
 // unchanged clone — when keep(p) did not hold to begin with, so the
-// outcome of the precondition probe is never silently discarded.
+// outcome of the precondition probe is never silently discarded. keep
+// is called one candidate at a time, in order, on the caller's
+// goroutine.
 func ReduceChecked(p *ast.Program, keep Predicate, opts Options) (*ast.Program, bool) {
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 20
+	return ReduceParallel(p, func(q *ast.Program, _ *atomic.Bool) bool { return keep(q) }, 1, opts)
+}
+
+// ReduceParallel is ReduceChecked for a Test that it evaluates on up to
+// workers candidates at once, each on its own snapshot of the program.
+// The result, and the evaluations counted against MaxEvals, are the
+// same for every workers value. No evaluation outlives the call.
+func ReduceParallel(p *ast.Program, keep Test, workers int, opts Options) (*ast.Program, bool) {
+	r := newReducer(p, keep, workers, opts)
+	return r.cur, r.run(opts.MaxRounds)
+}
+
+// reducer holds one reduction's state. cur is only ever edited by the
+// calling goroutine; evaluations running elsewhere see snapshots.
+type reducer struct {
+	cur      *ast.Program
+	keep     Test
+	workers  int
+	maxEvals int // 0 = no cap
+	evals    int // evaluations counted so far, in candidate order
+}
+
+func newReducer(p *ast.Program, keep Test, workers int, opts Options) *reducer {
+	return &reducer{cur: ast.CloneProgram(p), keep: keep, workers: workers, maxEvals: opts.MaxEvals}
+}
+
+// run checks the precondition and then runs fixpoint rounds of every
+// candidate kind; it reports whether the precondition held.
+func (r *reducer) run(maxRounds int) bool {
+	if maxRounds <= 0 {
+		maxRounds = 20
 	}
-	cur := ast.CloneProgram(p)
-	if !keep(cur) {
-		return cur, false
+	r.evals++
+	if !r.keep(r.cur, nil) {
+		return false
 	}
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		changed := false
-		if tryEach(cur, keep, removeMethodCandidates) {
-			changed = true
-		}
-		if tryEach(cur, keep, removeFieldCandidates) {
-			changed = true
-		}
-		if reduceStatements(cur, keep) {
-			changed = true
+		for _, gen := range []func(*ast.Program) candidates{
+			removeMethodCandidates, removeFieldCandidates, statementCandidates,
+		} {
+			for r.first(gen(r.cur)) {
+				changed = true
+			}
 		}
 		if !changed {
 			break
 		}
 	}
-	return cur, true
+	return true
 }
+
+// spent reports whether the evaluation budget is used up.
+func (r *reducer) spent() bool { return r.maxEvals > 0 && r.evals >= r.maxEvals }
 
 // valid reports whether the candidate still type-checks; reductions
 // that break validity are discarded before consulting the predicate.
@@ -77,88 +135,168 @@ func valid(p *ast.Program) bool {
 	return err == nil
 }
 
-// candidate is one attempted transformation: apply edits cur in place
-// and returns an undo function.
-type candidate struct {
-	apply func() func()
+// candidate is one attempted transformation: it edits the program it
+// was generated from in place and returns the function that undoes the
+// edit. Applying it again after the undo makes the same edit.
+type candidate func() (undo func())
+
+// candidates yields a program's candidates in order, lazily, until
+// yield returns false.
+type candidates func(yield func(candidate) bool)
+
+// first applies to cur the first candidate, in order, that keeps cur
+// valid and interesting, and reports whether there was one. Otherwise
+// cur is left as it was.
+func (r *reducer) first(cands candidates) bool {
+	if r.workers > 1 {
+		return r.firstParallel(cands)
+	}
+	found := false
+	cands(func(c candidate) bool {
+		if r.spent() {
+			return false
+		}
+		undo := c()
+		if valid(r.cur) {
+			r.evals++
+			if found = r.keep(r.cur, nil); found {
+				return false
+			}
+		}
+		undo()
+		return true
+	})
+	return found
 }
 
-// tryEach applies each candidate greedily, keeping those that preserve
-// validity and interestingness.
-func tryEach(cur *ast.Program, keep Predicate, gen func(*ast.Program) []candidate) bool {
-	any := false
-	for {
-		applied := false
-		for _, c := range gen(cur) {
-			undo := c.apply()
-			if valid(cur) && keep(cur) {
-				applied = true
-				any = true
-				break // regenerate candidates: positions shifted
-			}
-			undo()
+// evaluation is one candidate under test on a snapshot.
+type evaluation struct {
+	apply candidate
+	stop  atomic.Bool
+	done  chan verdict
+}
+
+type verdict struct {
+	kept     bool
+	panicked any // a panic in the Test, raised again if its turn comes
+}
+
+// firstParallel is first with up to r.workers evaluations in flight.
+// Candidates are generated, applied and checked for validity here, in
+// order; each valid one is tested on a snapshot of cur in its own
+// goroutine, and verdicts are taken in candidate order. Because a
+// one-at-a-time scan would evaluate every valid candidate before the
+// first accepted one, the k-th valid candidate in flight would be
+// evaluation evals+k there: none starts that a budget-limited scan
+// would never have evaluated.
+func (r *reducer) firstParallel(cands candidates) bool {
+	var window []*evaluation
+	// settle takes the oldest verdict. On acceptance it stops and
+	// waits for every later evaluation and applies the winner to cur.
+	settle := func() bool {
+		e := window[0]
+		window = window[1:]
+		v := <-e.done
+		r.evals++
+		if !v.kept && v.panicked == nil {
+			return false
 		}
-		if !applied {
-			return any
+		for _, later := range window {
+			later.stop.Store(true)
 		}
+		for _, later := range window {
+			<-later.done
+		}
+		window = nil
+		if v.panicked != nil {
+			panic(v.panicked)
+		}
+		e.apply()
+		return true
 	}
+	found := false
+	cands(func(c candidate) bool {
+		if r.maxEvals > 0 && r.evals+len(window) >= r.maxEvals {
+			return false
+		}
+		undo := c()
+		if !valid(r.cur) {
+			undo()
+			return true
+		}
+		snap := ast.CloneProgram(r.cur)
+		undo()
+		e := &evaluation{apply: c, done: make(chan verdict, 1)}
+		go func() {
+			var v verdict
+			defer func() {
+				v.panicked = recover()
+				e.done <- v
+			}()
+			v.kept = r.keep(snap, &e.stop)
+		}()
+		window = append(window, e)
+		if len(window) == r.workers {
+			found = settle()
+		}
+		return !found
+	})
+	for !found && len(window) > 0 {
+		found = settle()
+	}
+	return found
 }
 
 // removeMethodCandidates proposes dropping whole methods (main stays).
-func removeMethodCandidates(p *ast.Program) []candidate {
-	var out []candidate
-	cls := p.Class
-	for i := range cls.Methods {
-		i := i
-		if cls.Methods[i].Name == "main" {
-			continue
+func removeMethodCandidates(p *ast.Program) candidates {
+	return func(yield func(candidate) bool) {
+		cls := p.Class
+		for i, m := range cls.Methods {
+			if m.Name == "main" {
+				continue
+			}
+			if !yield(func() func() {
+				saved := cls.Methods
+				cls.Methods = append(append([]*ast.Method(nil), saved[:i]...), saved[i+1:]...)
+				return func() { cls.Methods = saved }
+			}) {
+				return
+			}
 		}
-		out = append(out, candidate{apply: func() func() {
-			saved := append([]*ast.Method(nil), cls.Methods...)
-			cls.Methods = append(append([]*ast.Method(nil), cls.Methods[:i]...), cls.Methods[i+1:]...)
-			return func() { cls.Methods = saved }
-		}})
 	}
-	return out
 }
 
 // removeFieldCandidates proposes dropping fields.
-func removeFieldCandidates(p *ast.Program) []candidate {
-	var out []candidate
-	cls := p.Class
-	for i := range cls.Fields {
-		i := i
-		out = append(out, candidate{apply: func() func() {
-			saved := append([]*ast.Field(nil), cls.Fields...)
-			cls.Fields = append(append([]*ast.Field(nil), cls.Fields[:i]...), cls.Fields[i+1:]...)
-			return func() { cls.Fields = saved }
-		}})
-	}
-	return out
-}
-
-// reduceStatements walks every statement list in the program and
-// tries, in order: dropping a statement, replacing a compound
-// statement by one of its sub-blocks' contents.
-func reduceStatements(p *ast.Program, keep Predicate) bool {
-	any := false
-	for {
-		applied := false
-		for _, m := range p.Class.Methods {
-			lists := collectLists(m)
-			for _, lst := range lists {
-				if tryListEdits(p, keep, lst) {
-					applied = true
-					any = true
-					break
-				}
-			}
-			if applied {
-				break
+func removeFieldCandidates(p *ast.Program) candidates {
+	return func(yield func(candidate) bool) {
+		cls := p.Class
+		for i := range cls.Fields {
+			if !yield(func() func() {
+				saved := cls.Fields
+				cls.Fields = append(append([]*ast.Field(nil), saved[:i]...), saved[i+1:]...)
+				return func() { cls.Fields = saved }
+			}) {
+				return
 			}
 		}
-		if !applied {
-			return any
+	}
+}
+
+// statementCandidates proposes, for every statement list of every
+// method in turn, the edits of listCandidates.
+func statementCandidates(p *ast.Program) candidates {
+	return func(yield func(candidate) bool) {
+		more := true
+		for _, m := range p.Class.Methods {
+			for _, lst := range collectLists(m) {
+				listCandidates(lst)(func(c candidate) bool {
+					more = yield(c)
+					return more
+				})
+				if !more {
+					return
+				}
+			}
 		}
 	}
 }
@@ -215,67 +353,59 @@ func collectLists(m *ast.Method) []*[]ast.Stmt {
 	return lists
 }
 
-// tryListEdits attempts edits on one statement list: chunked removal
-// (ddmin-flavoured: halves, then quarters, then singles) and compound
-// unwrapping.
-func tryListEdits(p *ast.Program, keep Predicate, lst *[]ast.Stmt) bool {
-	n := len(*lst)
-	if n == 0 {
-		return false
-	}
-	ok := func() bool { return valid(p) && keep(p) }
-
-	// Chunked removal.
-	for size := n; size >= 1; size /= 2 {
-		for start := 0; start+size <= len(*lst); start++ {
-			saved := append([]ast.Stmt(nil), *lst...)
-			*lst = append(append([]ast.Stmt(nil), saved[:start]...), saved[start+size:]...)
-			if ok() {
-				return true
+// listCandidates proposes edits of one statement list: chunked removal
+// (ddmin-flavoured: the whole list, halves, quarters, ..., singles)
+// and then compound unwrapping (if -> a branch's statements; loops ->
+// the body once; switch -> a single arm's body; block -> its
+// statements).
+func listCandidates(lst *[]ast.Stmt) candidates {
+	return func(yield func(candidate) bool) {
+		n := len(*lst)
+		for size := n; size >= 1; size /= 2 {
+			for start := 0; start+size <= n; start++ {
+				if !yield(func() func() {
+					saved := *lst
+					*lst = append(append([]ast.Stmt(nil), saved[:start]...), saved[start+size:]...)
+					return func() { *lst = saved }
+				}) {
+					return
+				}
 			}
-			*lst = saved
 		}
-		if size == 1 {
-			break
-		}
-	}
-
-	// Unwrap compounds: if -> then-branch stmts; loops -> body once;
-	// switch -> a single arm's body.
-	for i, s := range *lst {
-		var replacements [][]ast.Stmt
-		switch s := s.(type) {
-		case *ast.IfStmt:
-			replacements = append(replacements, s.Then.Stmts)
-			if e, okElse := s.Else.(*ast.Block); okElse {
-				replacements = append(replacements, e.Stmts)
+		for i, s := range *lst {
+			var replacements [][]ast.Stmt
+			switch s := s.(type) {
+			case *ast.IfStmt:
+				replacements = append(replacements, s.Then.Stmts)
+				if e, ok := s.Else.(*ast.Block); ok {
+					replacements = append(replacements, e.Stmts)
+				}
+			case *ast.ForStmt:
+				replacements = append(replacements, s.Body.Stmts)
+			case *ast.WhileStmt:
+				replacements = append(replacements, s.Body.Stmts)
+			case *ast.SwitchStmt:
+				for _, c := range s.Cases {
+					replacements = append(replacements, c.Body)
+				}
+			case *ast.Block:
+				replacements = append(replacements, s.Stmts)
 			}
-		case *ast.ForStmt:
-			replacements = append(replacements, s.Body.Stmts)
-		case *ast.WhileStmt:
-			replacements = append(replacements, s.Body.Stmts)
-		case *ast.SwitchStmt:
-			for _, c := range s.Cases {
-				replacements = append(replacements, c.Body)
+			for _, repl := range replacements {
+				if !yield(func() func() {
+					saved := *lst
+					next := append([]ast.Stmt(nil), saved[:i]...)
+					// Deep-clone replacement statements: they may alias
+					// nodes reachable from the saved list.
+					for _, rs := range repl {
+						next = append(next, ast.CloneStmt(rs))
+					}
+					*lst = append(next, saved[i+1:]...)
+					return func() { *lst = saved }
+				}) {
+					return
+				}
 			}
-		case *ast.Block:
-			replacements = append(replacements, s.Stmts)
-		}
-		for _, repl := range replacements {
-			saved := append([]ast.Stmt(nil), *lst...)
-			next := append([]ast.Stmt(nil), saved[:i]...)
-			// Deep-clone replacement statements: they may alias nodes
-			// reachable from the saved list.
-			for _, rs := range repl {
-				next = append(next, ast.CloneStmt(rs))
-			}
-			next = append(next, saved[i+1:]...)
-			*lst = next
-			if ok() {
-				return true
-			}
-			*lst = saved
 		}
 	}
-	return false
 }

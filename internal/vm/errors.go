@@ -72,11 +72,18 @@ const (
 	TermCrash
 	// TermTimeout: the step budget was exhausted.
 	TermTimeout
+	// TermStopped: the run was abandoned through Config.Stop.
+	TermStopped
 )
 
-var termNames = [...]string{"normal", "exception", "crash", "timeout"}
+var termNames = [...]string{"normal", "exception", "crash", "timeout", "stopped"}
 
 func (k TermKind) String() string { return termNames[k] }
+
+// Conclusive reports whether the run ended on its own: normally, by an
+// exception or by a crash. A timed-out or stopped run says nothing
+// about the program, so no comparison or classifier may count it.
+func (o *Output) Conclusive() bool { return o.Term != TermTimeout && o.Term != TermStopped }
 
 // Output is a program run's observable result. Printed lines beyond
 // MaxOutputLines are folded into the rolling hash only, so memory use
@@ -124,9 +131,9 @@ func (o *Output) Key() string {
 }
 
 // Equivalent reports whether two outputs are observably equal.
-// Timeouts are never equivalent to anything (inconclusive).
+// Inconclusive runs are never equivalent to anything.
 func (o *Output) Equivalent(p *Output) bool {
-	if o.Term == TermTimeout || p.Term == TermTimeout {
+	if !o.Conclusive() || !p.Conclusive() {
 		return false
 	}
 	return o.Key() == p.Key()

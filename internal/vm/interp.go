@@ -52,8 +52,10 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 
 	for {
 		vm.steps++
-		if vm.steps > vm.stepLimit {
-			return 0, vm.timeoutUnwind()
+		if vm.steps > vm.checkAt {
+			if uw := vm.checkpoint(); uw != nil {
+				return 0, uw
+			}
 		}
 		in := code[pc]
 		switch in.Op {

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"artemis/internal/bytecode"
 	"artemis/internal/lang/ast"
@@ -70,7 +71,18 @@ type Config struct {
 	// shared between concurrently running VMs. Purely a performance
 	// knob: results are byte-identical with or without it.
 	Scratch *Scratch
+
+	// Stop, when non-nil, lets another goroutine abandon the run: once
+	// it is set, the run ends with TermStopped within StopPoll steps.
+	// The flag is read only on the step-limit slow path (see
+	// checkpoint), so it costs the execution loops nothing and changes
+	// no step count.
+	Stop *atomic.Bool
 }
+
+// StopPoll is how many steps a run with a Config.Stop flag executes
+// between two reads of the flag.
+const StopPoll = 16384
 
 func (c Config) withDefaults() Config {
 	if c.HeapWords == 0 {
@@ -176,8 +188,10 @@ type VM struct {
 
 	steps         int64
 	compiledSteps int64 // subset of steps charged via Env.Step
-	stepLimit     int64
-	depth         int
+	// checkAt is the step count past which the execution loops call
+	// checkpoint: Config.StepLimit, or the next poll of Config.Stop.
+	checkAt int64
+	depth   int
 
 	roots   []func(yield func(int64)) // active compiled-frame root scanners
 	popRoot func()                    // removes the newest root scanner
@@ -201,10 +215,13 @@ func New(cfg Config, prog *bytecode.Program) *VM {
 	// race in parallel campaigns.
 	prog.Predecode()
 	vm := &VM{
-		cfg:       cfg,
-		prog:      prog,
-		out:       newOutput(cfg.MaxOutputLines),
-		stepLimit: cfg.StepLimit,
+		cfg:     cfg,
+		prog:    prog,
+		out:     newOutput(cfg.MaxOutputLines),
+		checkAt: cfg.StepLimit,
+	}
+	if cfg.Stop != nil {
+		vm.checkAt = min(StopPoll, cfg.StepLimit)
 	}
 	if cfg.RecordTrace {
 		vm.trace = newJITTrace(cfg.TraceLimit)
@@ -319,18 +336,43 @@ func (vm *VM) finish(uw *Unwind) {
 	case uw.Err != nil && uw.Err.Kind == trapTimeout:
 		vm.out.Term = TermTimeout
 		vm.out.Detail = "step limit exceeded"
+	case uw.Err != nil && uw.Err.Kind == trapStopped:
+		vm.out.Term = TermStopped
+		vm.out.Detail = "stopped"
 	case uw.Err != nil:
 		vm.out.Term = TermException
 		vm.out.Detail = uw.Err.Error()
 	}
 }
 
-// trapTimeout is an internal pseudo-trap used to thread step-limit
-// exhaustion through the normal unwind path.
-const trapTimeout TrapKind = -1
+// trapTimeout and trapStopped are internal pseudo-traps used to thread
+// step-limit exhaustion and Config.Stop through the normal unwind path.
+const (
+	trapTimeout TrapKind = -1
+	trapStopped TrapKind = -2
+)
 
 func (vm *VM) timeoutUnwind() *Unwind {
 	return &Unwind{Err: &RuntimeError{Kind: trapTimeout}}
+}
+
+// checkpoint is the execution loops' slow path, taken once the step
+// count passes checkAt. Without a Stop flag checkAt is StepLimit, so
+// this only ends the run. With one, checkAt steps through the budget
+// StopPoll steps at a time and each pass reads the flag: the timeout
+// still fires at exactly the step it would without a flag. It is kept
+// out of line so the interpreter loop carries only the comparison.
+//
+//go:noinline
+func (vm *VM) checkpoint() *Unwind {
+	if vm.steps > vm.cfg.StepLimit {
+		return vm.timeoutUnwind()
+	}
+	if vm.cfg.Stop != nil && vm.cfg.Stop.Load() {
+		return &Unwind{Err: &RuntimeError{Kind: trapStopped}}
+	}
+	vm.checkAt = min(vm.steps+StopPoll, vm.cfg.StepLimit)
+	return nil
 }
 
 // interpOnly runs a method in the interpreter with no profiling
@@ -588,8 +630,8 @@ func (vm *VM) Print(kind ast.Kind, v int64) { vm.out.addLine(formatValue(kind, v
 func (vm *VM) Step(n int64) *Unwind {
 	vm.steps += n
 	vm.compiledSteps += n
-	if vm.steps > vm.stepLimit {
-		return vm.timeoutUnwind()
+	if vm.steps > vm.checkAt {
+		return vm.checkpoint()
 	}
 	return nil
 }
