@@ -5,7 +5,7 @@
 GO      ?= go
 TIMEOUT ?= 9000s
 
-.PHONY: all build fmt vet test race resume blame-smoke bench bench-smoke bench-golden ci
+.PHONY: all build fmt vet test race resume blame-smoke fuzz-smoke bench bench-smoke bench-golden ci
 
 all: ci
 
@@ -40,6 +40,13 @@ race:
 blame-smoke:
 	$(GO) test -timeout $(TIMEOUT) ./internal/blame/
 
+# Verifier fuzz smoke: 20 s of native fuzzing of the bytecode verifier
+# (internal/bytecode FuzzVerify). Verification must never panic, and
+# every program it accepts must run on the interpreter without a Go
+# runtime fault. `go test ./...` replays only the checked-in corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime 20s ./internal/bytecode/
+
 # Resume-determinism gate: interrupt+resume must be byte-identical to
 # an uninterrupted campaign at workers 1/2/4, including after a torn
 # final journal record. Part of `race` coverage too; this target runs
@@ -73,4 +80,4 @@ bench-golden:
 		bash campaignbench/run.sh --workload $$w --seed 0 --seconds 1 --trace 0 || exit 1; \
 	done
 
-ci: fmt vet test race resume blame-smoke bench-smoke bench-golden
+ci: fmt vet test race resume blame-smoke fuzz-smoke bench-smoke bench-golden

@@ -147,7 +147,7 @@ func TestStackDepths(t *testing.T) {
         void main() { print(f(3) + f(4)); }
     }`)
 	m := bp.Method("main")
-	depths := StackDepths(bp, m)
+	depths := StackDepths(m)
 	if depths[0] != 0 {
 		t.Errorf("entry depth %d", depths[0])
 	}
@@ -160,29 +160,73 @@ func TestStackDepths(t *testing.T) {
 
 func TestVerifierRejectsBadCode(t *testing.T) {
 	// Hand-build broken methods and ensure the verifier rejects them.
-	mk := func(code []Instr) *Program {
-		m := &Method{Name: "main", Ret: ast.TypeVoid, Code: code, Locals: []ast.Type{ast.TypeInt}}
-		return &Program{ClassName: "X", Methods: []*Method{m}, MainIndex: 0, ClinitIndex: -1}
+	// Method 0 is main, the method under test; f(int) returns int and
+	// g() returns void, as call targets.
+	f := &Method{Name: "f", Index: 1, NParams: 1, Ret: ast.TypeInt, Locals: []ast.Type{ast.TypeInt},
+		Code: []Instr{{Op: OpLoad, A: 0}, {Op: OpRetV}}}
+	g := &Method{Name: "g", Index: 2, Ret: ast.TypeVoid, Code: []Instr{{Op: OpRet}}}
+	mk := func(code []Instr, loops ...LoopInfo) *Program {
+		m := &Method{Name: "main", Ret: ast.TypeVoid, Code: code, Locals: []ast.Type{ast.TypeInt}, Loops: loops}
+		return &Program{ClassName: "X", Methods: []*Method{m, f, g}, MainIndex: 0, ClinitIndex: -1}
+	}
+	// Loop 0 heads pc 0 and loop 1 pc 2; the stack is empty at pcs 0, 2
+	// and 4, so a back-edge to any of them is well formed but for its
+	// loop id.
+	loops := []LoopInfo{{ID: 0, HeadPC: 0, Depth: 1}, {ID: 1, HeadPC: 2, Depth: 2}}
+	loopBody := func(back Instr) []Instr {
+		return []Instr{{Op: OpConst, A: 1}, {Op: OpPop}, {Op: OpConst, A: 2}, {Op: OpPop}, back}
 	}
 	cases := []struct {
-		name string
-		code []Instr
+		name  string
+		code  []Instr
+		loops []LoopInfo
 	}{
-		{"underflow", []Instr{{Op: OpPop}, {Op: OpRet}}},
-		{"bad target", []Instr{{Op: OpGoto, A: 99}, {Op: OpRet}}},
-		{"bad slot", []Instr{{Op: OpLoad, A: 7}, {Op: OpPop}, {Op: OpRet}}},
-		{"ret with stack", []Instr{{Op: OpConst, A: 1}, {Op: OpRet}}},
+		{"underflow", []Instr{{Op: OpPop}, {Op: OpRet}}, nil},
+		{"bad target", []Instr{{Op: OpGoto, A: 99}, {Op: OpRet}}, nil},
+		{"bad slot", []Instr{{Op: OpLoad, A: 7}, {Op: OpPop}, {Op: OpRet}}, nil},
+		{"ret with stack", []Instr{{Op: OpConst, A: 1}, {Op: OpRet}}, nil},
 		{"inconsistent depth", []Instr{
 			{Op: OpConst, A: 1},
 			{Op: OpIfTrue, A: 3},
 			{Op: OpConst, A: 5}, // fallthrough pushes, branch target below expects empty
 			{Op: OpRet},
-		}},
+		}, nil},
+		{"loopback without loops", []Instr{{Op: OpLoopBack, A: 0}}, nil},
+		{"loopback to no loop head", loopBody(Instr{Op: OpLoopBack, A: 4, B: 0}), loops},
+		{"loopback to another loop's head", loopBody(Instr{Op: OpLoopBack, A: 2, B: 0}), loops},
+		{"unknown opcode in unreachable code", []Instr{{Op: OpRet}, {Op: Op(200)}}, nil},
+		{"zero opcode in unreachable code", []Instr{{Op: OpRet}, {}}, nil},
+		{"bad target in unreachable code", []Instr{{Op: OpRet}, {Op: OpGoto, A: -1}}, nil},
+		{"call arity differs from callee", []Instr{
+			{Op: OpConst, A: 1}, {Op: OpConst, A: 2}, {Op: OpCall, A: 1, B: 2}, {Op: OpPop}, {Op: OpRet},
+		}, nil},
+		{"call of void callee", []Instr{{Op: OpCall, A: 2}, {Op: OpPop}, {Op: OpRet}}, nil},
+		{"void call of value callee", []Instr{{Op: OpConst, A: 1}, {Op: OpCallV, A: 1, B: 1}, {Op: OpRet}}, nil},
+		{"retv in void method", []Instr{{Op: OpConst, A: 1}, {Op: OpRetV}}, nil},
+		{"bad print kind", []Instr{{Op: OpConst, A: 1}, {Op: OpPrint, Kind: uint8(ast.KindVoid)}, {Op: OpRet}}, nil},
 	}
 	for _, tc := range cases {
-		p := mk(tc.code)
+		p := mk(tc.code, tc.loops...)
 		if err := verifyMethod(p, p.Methods[0]); err == nil {
 			t.Errorf("%s: verifier accepted bad code", tc.name)
+		}
+	}
+
+	// Controls: the same shapes, well formed, are accepted.
+	good := []struct {
+		name  string
+		code  []Instr
+		loops []LoopInfo
+	}{
+		{"loopback to its loop's head", loopBody(Instr{Op: OpLoopBack, A: 2, B: 1}), loops},
+		{"calls", []Instr{
+			{Op: OpConst, A: 1}, {Op: OpCall, A: 1, B: 1}, {Op: OpPop}, {Op: OpCallV, A: 2}, {Op: OpRet},
+		}, nil},
+	}
+	for _, tc := range good {
+		p := mk(tc.code, tc.loops...)
+		if err := verifyMethod(p, p.Methods[0]); err != nil {
+			t.Errorf("%s: verifier rejected good code: %v", tc.name, err)
 		}
 	}
 }

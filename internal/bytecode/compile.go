@@ -39,7 +39,6 @@ func Compile(info *sem.Info) (*Program, error) {
 			return nil, fmt.Errorf("bytecode: method %s: %w", m.Name, err)
 		}
 	}
-	p.Predecode()
 	return p, nil
 }
 
@@ -217,7 +216,7 @@ func (c *compiler) stmt(s ast.Stmt) {
 		}
 	case *ast.PrintStmt:
 		c.expr(s.X)
-		c.emit(Instr{Op: OpPrint, Kind: s.X.Type().Kind})
+		c.emit(Instr{Op: OpPrint, Kind: uint8(s.X.Type().Kind)})
 	default:
 		panic(fmt.Sprintf("bytecode: unknown statement %T", s))
 	}
@@ -250,9 +249,7 @@ func (c *compiler) loop(cond ast.Expr, body *ast.Block, post ast.Stmt) {
 	if post != nil {
 		c.stmt(post)
 	}
-	// The loop id is recovered from Loops by header pc at run time
-	// (header pcs are unique per loop).
-	c.emit(Instr{Op: OpLoopBack, A: int64(headPC)})
+	c.emit(Instr{Op: OpLoopBack, A: int64(headPC), B: int32(loopID)})
 	c.bind(exitL)
 	c.loopDepth--
 }
@@ -331,7 +328,7 @@ func (c *compiler) compoundOp(s *ast.AssignStmt, targetType ast.Type) {
 	} else {
 		wide = targetType.Kind == ast.KindLong || s.Value.Type().Kind == ast.KindLong
 	}
-	c.emit(Instr{Op: binInstrOp(op), Wide: wide})
+	c.emit(Instr{Op: withWidth(binInstrOp(op), wide)})
 	if targetType.Kind == ast.KindInt && wide {
 		c.emit(Instr{Op: OpL2I})
 	}
@@ -363,30 +360,31 @@ func (c *compiler) storeIdent(t *ast.Ident) {
 // Expressions
 // ---------------------------------------------------------------------------
 
+// binInstrOp returns the long form of the arithmetic opcode for op.
 func binInstrOp(op ast.BinOp) Op {
 	switch op {
 	case ast.OpAdd:
-		return OpAdd
+		return OpAddL
 	case ast.OpSub:
-		return OpSub
+		return OpSubL
 	case ast.OpMul:
-		return OpMul
+		return OpMulL
 	case ast.OpDiv:
-		return OpDiv
+		return OpDivL
 	case ast.OpRem:
-		return OpRem
+		return OpRemL
 	case ast.OpAnd:
-		return OpAnd
+		return OpAndL
 	case ast.OpOr:
-		return OpOr
+		return OpOrL
 	case ast.OpXor:
-		return OpXor
+		return OpXorL
 	case ast.OpShl:
-		return OpShl
+		return OpShlL
 	case ast.OpShr:
-		return OpShr
+		return OpShrL
 	case ast.OpUshr:
-		return OpUshr
+		return OpUshrL
 	}
 	panic(fmt.Sprintf("bytecode: op %v is not an arithmetic instruction", op))
 }
@@ -437,19 +435,23 @@ func (c *compiler) expr(e ast.Expr) {
 		for _, a := range e.Args {
 			c.expr(a)
 		}
-		c.emit(Instr{Op: OpCall, A: int64(e.MethodIndex)})
+		op := OpCall
+		if e.Type().Kind == ast.KindVoid {
+			op = OpCallV
+		}
+		c.emit(Instr{Op: op, A: int64(e.MethodIndex), B: int32(len(e.Args))})
 	case *ast.UnaryExpr:
 		switch e.Op {
 		case ast.OpNeg:
 			c.expr(e.X)
-			c.emit(Instr{Op: OpNeg, Wide: e.Type().Kind == ast.KindLong})
+			c.emit(Instr{Op: withWidth(OpNegL, e.Type().Kind == ast.KindLong)})
 		case ast.OpBitNot:
 			c.expr(e.X)
-			c.emit(Instr{Op: OpBitNot, Wide: e.Type().Kind == ast.KindLong})
+			c.emit(Instr{Op: withWidth(OpBitNotL, e.Type().Kind == ast.KindLong)})
 		case ast.OpNot:
 			c.expr(e.X)
 			c.emit(Instr{Op: OpConst, A: 0})
-			c.emit(Instr{Op: OpCmpSet, Cond: CondEQ})
+			c.emit(Instr{Op: OpCmpEQ})
 		}
 	case *ast.BinaryExpr:
 		op := e.Op
@@ -459,7 +461,7 @@ func (c *compiler) expr(e ast.Expr) {
 		case op.IsComparison():
 			c.expr(e.X)
 			c.expr(e.Y)
-			c.emit(Instr{Op: OpCmpSet, Cond: condOf(op)})
+			c.emit(Instr{Op: cmpOp(condOf(op))})
 		default:
 			c.expr(e.X)
 			c.expr(e.Y)
@@ -469,7 +471,7 @@ func (c *compiler) expr(e ast.Expr) {
 			} else {
 				wide = e.Type().Kind == ast.KindLong
 			}
-			c.emit(Instr{Op: binInstrOp(op), Wide: wide})
+			c.emit(Instr{Op: withWidth(binInstrOp(op), wide)})
 		}
 	case *ast.CondExpr:
 		elseL, endL := c.newLabel(), c.newLabel()
@@ -482,7 +484,7 @@ func (c *compiler) expr(e ast.Expr) {
 	case *ast.NewArrayExpr:
 		if e.Elems != nil {
 			c.emit(Instr{Op: OpConst, A: int64(len(e.Elems))})
-			c.emit(Instr{Op: OpNewArr, Kind: e.Elem})
+			c.emit(Instr{Op: OpNewArr, Kind: uint8(e.Elem)})
 			for i, el := range e.Elems {
 				c.emit(Instr{Op: OpDup})
 				c.emit(Instr{Op: OpConst, A: int64(i)})
@@ -491,7 +493,7 @@ func (c *compiler) expr(e ast.Expr) {
 			}
 		} else {
 			c.expr(e.Len)
-			c.emit(Instr{Op: OpNewArr, Kind: e.Elem})
+			c.emit(Instr{Op: OpNewArr, Kind: uint8(e.Elem)})
 		}
 	case *ast.CastExpr:
 		c.expr(e.X)
@@ -541,7 +543,7 @@ func (c *compiler) condJump(e ast.Expr, want bool, l *label) {
 			if !want {
 				cond = cond.Negate()
 			}
-			c.jump(Instr{Op: OpIfCmp, Cond: cond}, l)
+			c.jump(Instr{Op: ifCmpOp(cond)}, l)
 			return
 		case e.Op == ast.OpLAnd:
 			if want {

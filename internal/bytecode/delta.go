@@ -8,9 +8,9 @@ import (
 
 // CompileDelta lowers a mutant program using its seed's compiled
 // program as a method-granular cache: methods whose bodies the
-// mutation left untouched (not in changed) reuse the seed's compiled,
-// verified, and pre-decoded *Method objects outright; only changed
-// methods are lowered and verified anew.
+// mutation left untouched (not in changed) reuse the seed's compiled
+// and verified *Method objects outright; only changed methods are
+// lowered and verified anew.
 //
 // Reuse is sound because JoNM never renames, reorders, or re-signs
 // methods and never edits existing fields — it only rewrites method
@@ -86,7 +86,6 @@ func CompileDelta(info *sem.Info, base *Program, changed map[string]bool) (*Prog
 		if err := verifyMethod(p, m); err != nil {
 			return nil, fmt.Errorf("bytecode: method %s: %w", m.Name, err)
 		}
-		p.predecode(m)
 	}
 	return p, nil
 }

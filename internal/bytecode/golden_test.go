@@ -1,8 +1,12 @@
 package bytecode_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"artemis/internal/bytecode"
 	"artemis/internal/fuzz"
@@ -50,5 +54,41 @@ func TestCompileDeltaMatchesColdCompile(t *testing.T) {
 		if ast.Print(seedProg) != seedText {
 			t.Fatalf("seed %d: mutation modified the shared seed AST", seedID)
 		}
+	}
+}
+
+// disasmGoldenDigest is the sha256 of the compiler output over fuzz
+// seeds 0-199 and 8 JoNM mutants of each. Any change to what the
+// compiler emits for real programs — an opcode, an operand, a switch
+// table, a loop record, MaxStack — changes it.
+const disasmGoldenDigest = "6ac891e18729fd99ac56cdb503ddc921410e408f0dbeb331c5a4639fadc567d8"
+
+// TestDisasmGolden pins the compiler's output: the disassembly of
+// every cold-compiled seed and every delta-compiled mutant must hash to
+// disasmGoldenDigest.
+func TestDisasmGolden(t *testing.T) {
+	if got := unsafe.Sizeof(bytecode.Instr{}); got != 16 {
+		t.Errorf("sizeof(Instr) = %d, want the 16-byte word the interpreter indexes", got)
+	}
+	h := sha256.New()
+	for seed := int64(0); seed < 200; seed++ {
+		seedProg := fuzz.Generate(fuzz.Options{Seed: seed})
+		seedInfo := sem.MustAnalyze(seedProg)
+		seedBP := bytecode.MustCompile(seedInfo)
+		io.WriteString(h, bytecode.Disasm(seedBP))
+
+		rng := rand.New(rand.NewSource(seed * 7919))
+		for i := 0; i < 8; i++ {
+			_, rep, err := jonm.Mutate(seedProg, &jonm.Config{
+				Rand: rng, SeedInfo: seedInfo, Min: 5000, Max: 10000, StepMax: 10,
+			})
+			if err != nil {
+				t.Fatalf("seed %d mutant %d: %v", seed, i, err)
+			}
+			io.WriteString(h, bytecode.Disasm(bytecode.MustCompileDelta(rep.Info, seedBP, rep.Mutated)))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != disasmGoldenDigest {
+		t.Errorf("compiler output digest = %s, want %s", got, disasmGoldenDigest)
 	}
 }

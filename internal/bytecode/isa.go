@@ -20,18 +20,21 @@ import (
 	"artemis/internal/lang/ast"
 )
 
-// Op enumerates bytecode opcodes.
+// Op enumerates bytecode opcodes. Every per-step decision the
+// interpreter would otherwise make from instruction flags is folded
+// into the opcode: arithmetic comes in a long (64-bit) and an int
+// (32-bit wrapping) form, compares and compare-and-branch come in one
+// form per condition, and a call knows whether its callee returns a
+// value. The zero Op is invalid, so a zeroed Instr never verifies.
 type Op uint8
 
 const (
-	OpNop Op = iota
-
-	OpConst // push A
-	OpLoad  // push locals[A]
-	OpStore // locals[A] = pop
-	OpPop   // drop top
-	OpDup   // duplicate top
-	OpDup2  // duplicate top two words (a b -> a b a b)
+	OpConst Op = iota + 1 // push A
+	OpLoad                // push locals[A]
+	OpStore               // locals[A] = pop
+	OpPop                 // drop top
+	OpDup                 // duplicate top
+	OpDup2                // duplicate top two words (a b -> a b a b)
 
 	OpGetField // push fields[A]
 	OpPutField // fields[A] = pop
@@ -41,62 +44,210 @@ const (
 	OpAStore // pop val, idx, ref; ref[idx] = val (bounds-checked)
 	OpArrLen // pop ref, push length
 
-	// Binary arithmetic: pop b, a; push a OP b. Wide selects 64-bit
-	// (long) vs 32-bit wrapping (int) semantics.
-	OpAdd
-	OpSub
-	OpMul
-	OpDiv // raises ArithmeticException on division by zero
-	OpRem // raises ArithmeticException on division by zero
-	OpAnd
-	OpOr
-	OpXor
-	OpShl // shift count masked &31 / &63 as in Java
-	OpShr
-	OpUshr
+	// Binary arithmetic: pop b, a; push a OP b. Each long form is
+	// directly followed by its int twin. Division and remainder raise
+	// ArithmeticException on a zero divisor; shift counts are masked
+	// &63 / &31 as in Java.
+	OpAddL
+	OpAddI
+	OpSubL
+	OpSubI
+	OpMulL
+	OpMulI
+	OpDivL
+	OpDivI
+	OpRemL
+	OpRemI
+	OpAndL
+	OpAndI
+	OpOrL
+	OpOrI
+	OpXorL
+	OpXorI
+	OpShlL
+	OpShlI
+	OpShrL
+	OpShrI
+	OpUshrL
+	OpUshrI
 
-	OpNeg    // pop a, push -a (wrapping)
-	OpBitNot // pop a, push ^a
-	OpL2I    // pop a, push sign-extended int32(a) (narrowing cast)
+	// Unary: pop a, push -a (wrapping) / ^a / sign-extended int32(a)
+	// (narrowing cast).
+	OpNegL
+	OpNegI
+	OpBitNotL
+	OpBitNotI
+	OpL2I
 
-	OpCmpSet // pop b, a; push 1 if a Cond b else 0
+	// Compares: pop b, a; push 1 if a cond b else 0. One opcode per
+	// Cond, in Cond order.
+	OpCmpEQ
+	OpCmpNE
+	OpCmpLT
+	OpCmpLE
+	OpCmpGT
+	OpCmpGE
 
-	OpGoto     // jump to A
-	OpIfTrue   // pop v; jump to A if v != 0
-	OpIfFalse  // pop v; jump to A if v == 0
-	OpIfCmp    // pop b, a; jump to A if a Cond b
+	OpGoto    // jump to A
+	OpIfTrue  // pop v; jump to A if v != 0
+	OpIfFalse // pop v; jump to A if v == 0
+
+	// Compare-and-branch: pop b, a; jump to A if a cond b. One opcode
+	// per Cond, in Cond order.
+	OpIfCmpEQ
+	OpIfCmpNE
+	OpIfCmpLT
+	OpIfCmpLE
+	OpIfCmpGT
+	OpIfCmpGE
+
 	OpSwitch   // pop v; jump via Switches[A]
-	OpLoopBack // back-edge: jump to A; B is the loop id (profiled)
+	OpLoopBack // back-edge: jump to A, the head of loop B (profiled)
 
-	OpCall // call Methods[A]; pops arity args, pushes result if non-void
-	OpRet  // return void
-	OpRetV // pop v, return v
+	OpCall  // call Methods[A] with B args; push its result
+	OpCallV // call void Methods[A] with B args
+	OpRet   // return void
+	OpRetV  // pop v, return v
 
 	OpPrint // pop v, append to output (formatted per Kind)
 )
 
-var opNames = [...]string{
-	OpNop: "nop", OpConst: "const", OpLoad: "load", OpStore: "store",
-	OpPop: "pop", OpDup: "dup", OpDup2: "dup2",
-	OpGetField: "getfield", OpPutField: "putfield",
-	OpNewArr: "newarr", OpALoad: "aload", OpAStore: "astore", OpArrLen: "arrlen",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpRem: "rem",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpUshr: "ushr",
-	OpNeg: "neg", OpBitNot: "bitnot", OpL2I: "l2i",
-	OpCmpSet: "cmpset",
-	OpGoto:   "goto", OpIfTrue: "iftrue", OpIfFalse: "iffalse", OpIfCmp: "ifcmp",
-	OpSwitch: "switch", OpLoopBack: "loopback",
-	OpCall: "call", OpRet: "ret", OpRetV: "retv", OpPrint: "print",
+// flow says where control goes after an instruction.
+type flow uint8
+
+const (
+	flowNext   flow = iota // to pc+1
+	flowJump               // to A
+	flowBranch             // to A or to pc+1
+	flowSwitch             // through Switches[A]
+	flowReturn             // out of the method
+)
+
+// operand says what an instruction's A (or Kind) names.
+type operand uint8
+
+const (
+	argNone   operand = iota
+	argConst          // A is a constant
+	argLocal          // A is a local slot
+	argField          // A is a field index
+	argPC             // A is a branch target
+	argTable          // A is a switch table index
+	argMethod         // A is a method index and B its argument count
+	argKind           // Kind is the value kind (int, long or boolean)
+)
+
+// opInfo is the one description of an opcode that the verifier, stack
+// depth analysis, successor walk and disassembler share. A call pops
+// B words instead of pops.
+type opInfo struct {
+	name         string
+	pops, pushes int8
+	flow         flow
+	arg          operand
 }
 
+var opTable = [...]opInfo{
+	OpConst: {"const", 0, 1, flowNext, argConst},
+	OpLoad:  {"load", 0, 1, flowNext, argLocal},
+	OpStore: {"store", 1, 0, flowNext, argLocal},
+	OpPop:   {"pop", 1, 0, flowNext, argNone},
+	OpDup:   {"dup", 1, 2, flowNext, argNone},
+	OpDup2:  {"dup2", 2, 4, flowNext, argNone},
+
+	OpGetField: {"getfield", 0, 1, flowNext, argField},
+	OpPutField: {"putfield", 1, 0, flowNext, argField},
+
+	OpNewArr: {"newarr", 1, 1, flowNext, argKind},
+	OpALoad:  {"aload", 2, 1, flowNext, argNone},
+	OpAStore: {"astore", 3, 0, flowNext, argNone},
+	OpArrLen: {"arrlen", 1, 1, flowNext, argNone},
+
+	OpAddL: {"add.l", 2, 1, flowNext, argNone}, OpAddI: {"add", 2, 1, flowNext, argNone},
+	OpSubL: {"sub.l", 2, 1, flowNext, argNone}, OpSubI: {"sub", 2, 1, flowNext, argNone},
+	OpMulL: {"mul.l", 2, 1, flowNext, argNone}, OpMulI: {"mul", 2, 1, flowNext, argNone},
+	OpDivL: {"div.l", 2, 1, flowNext, argNone}, OpDivI: {"div", 2, 1, flowNext, argNone},
+	OpRemL: {"rem.l", 2, 1, flowNext, argNone}, OpRemI: {"rem", 2, 1, flowNext, argNone},
+	OpAndL: {"and.l", 2, 1, flowNext, argNone}, OpAndI: {"and", 2, 1, flowNext, argNone},
+	OpOrL: {"or.l", 2, 1, flowNext, argNone}, OpOrI: {"or", 2, 1, flowNext, argNone},
+	OpXorL: {"xor.l", 2, 1, flowNext, argNone}, OpXorI: {"xor", 2, 1, flowNext, argNone},
+	OpShlL: {"shl.l", 2, 1, flowNext, argNone}, OpShlI: {"shl", 2, 1, flowNext, argNone},
+	OpShrL: {"shr.l", 2, 1, flowNext, argNone}, OpShrI: {"shr", 2, 1, flowNext, argNone},
+	OpUshrL: {"ushr.l", 2, 1, flowNext, argNone}, OpUshrI: {"ushr", 2, 1, flowNext, argNone},
+
+	OpNegL:    {"neg.l", 1, 1, flowNext, argNone},
+	OpNegI:    {"neg", 1, 1, flowNext, argNone},
+	OpBitNotL: {"bitnot.l", 1, 1, flowNext, argNone},
+	OpBitNotI: {"bitnot", 1, 1, flowNext, argNone},
+	OpL2I:     {"l2i", 1, 1, flowNext, argNone},
+
+	OpCmpEQ: {"cmpset.eq", 2, 1, flowNext, argNone},
+	OpCmpNE: {"cmpset.ne", 2, 1, flowNext, argNone},
+	OpCmpLT: {"cmpset.lt", 2, 1, flowNext, argNone},
+	OpCmpLE: {"cmpset.le", 2, 1, flowNext, argNone},
+	OpCmpGT: {"cmpset.gt", 2, 1, flowNext, argNone},
+	OpCmpGE: {"cmpset.ge", 2, 1, flowNext, argNone},
+
+	OpGoto:    {"goto", 0, 0, flowJump, argPC},
+	OpIfTrue:  {"iftrue", 1, 0, flowBranch, argPC},
+	OpIfFalse: {"iffalse", 1, 0, flowBranch, argPC},
+
+	OpIfCmpEQ: {"ifcmp.eq", 2, 0, flowBranch, argPC},
+	OpIfCmpNE: {"ifcmp.ne", 2, 0, flowBranch, argPC},
+	OpIfCmpLT: {"ifcmp.lt", 2, 0, flowBranch, argPC},
+	OpIfCmpLE: {"ifcmp.le", 2, 0, flowBranch, argPC},
+	OpIfCmpGT: {"ifcmp.gt", 2, 0, flowBranch, argPC},
+	OpIfCmpGE: {"ifcmp.ge", 2, 0, flowBranch, argPC},
+
+	OpSwitch:   {"switch", 1, 0, flowSwitch, argTable},
+	OpLoopBack: {"loopback", 0, 0, flowJump, argPC},
+
+	OpCall:  {"call", 0, 1, flowNext, argMethod},
+	OpCallV: {"call", 0, 0, flowNext, argMethod},
+	OpRet:   {"ret", 0, 0, flowReturn, argNone},
+	OpRetV:  {"retv", 1, 0, flowReturn, argNone},
+
+	OpPrint: {"print", 1, 0, flowNext, argKind},
+}
+
+// valid reports whether op is a defined opcode.
+func (op Op) valid() bool { return int(op) < len(opTable) && opTable[op].name != "" }
+
 func (op Op) String() string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
+	if op.valid() {
+		return opTable[op].name
 	}
 	return fmt.Sprintf("op(%d)", int(op))
 }
 
-// Cond enumerates comparison condition codes for OpCmpSet/OpIfCmp.
+// EndsBlock reports whether op transfers control anywhere but to the
+// next instruction: a jump, a branch, a switch or a return.
+func (op Op) EndsBlock() bool { return opTable[op].flow != flowNext }
+
+// Cond returns the condition tested by an OpCmp* or OpIfCmp* opcode.
+func (op Op) Cond() Cond {
+	if op >= OpIfCmpEQ {
+		return Cond(op - OpIfCmpEQ)
+	}
+	return Cond(op - OpCmpEQ)
+}
+
+// cmpOp and ifCmpOp return the compare and the compare-and-branch
+// opcode testing c.
+func cmpOp(c Cond) Op   { return OpCmpEQ + Op(c) }
+func ifCmpOp(c Cond) Op { return OpIfCmpEQ + Op(c) }
+
+// withWidth returns the long form of an arithmetic opcode pair when
+// wide, and its int twin otherwise.
+func withWidth(long Op, wide bool) Op {
+	if wide {
+		return long
+	}
+	return long + 1
+}
+
+// Cond enumerates the comparison conditions of the OpCmp* and OpIfCmp*
+// opcodes.
 type Cond uint8
 
 const (
@@ -150,36 +301,35 @@ func (c Cond) Eval(a, b int64) bool {
 	panic("bytecode: bad cond")
 }
 
-// Instr is one bytecode instruction.
+// Instr is one bytecode instruction: the dense 16-byte word the
+// compiler emits, the verifier checks, and the interpreter dispatches
+// on.
 type Instr struct {
+	A    int64 // immediate / slot / field / pc target / method or table index
+	B    int32 // loop id (OpLoopBack) / argument count (OpCall, OpCallV)
 	Op   Op
-	A    int64    // immediate / slot / field / pc target / method or table index
-	Wide bool     // 64-bit variant for arithmetic
-	Cond Cond     // for OpCmpSet / OpIfCmp
-	Kind ast.Kind // element kind for OpNewArr, value kind for OpPrint
-	Line int      // 1-based source line (0 if synthesized)
+	Kind uint8 // ast.Kind: element kind for OpNewArr, value kind for OpPrint
 }
 
 func (in Instr) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
-	if in.Wide {
-		b.WriteString(".l")
+	switch {
+	case !in.Op.valid():
+		return in.Op.String()
+	case opTable[in.Op].arg == argNone:
+		return opTable[in.Op].name
+	case opTable[in.Op].arg == argKind:
+		return opTable[in.Op].name + " " + ast.Kind(in.Kind).String()
 	}
-	switch in.Op {
-	case OpCmpSet, OpIfCmp:
-		fmt.Fprintf(&b, ".%s", in.Cond)
+	return fmt.Sprintf("%s %d", opTable[in.Op].name, in.A)
+}
+
+// stackEffect returns how many operand-stack words in pops and pushes.
+func (in Instr) stackEffect() (pops, pushes int) {
+	info := &opTable[in.Op]
+	if info.arg == argMethod {
+		return int(in.B), int(info.pushes)
 	}
-	switch in.Op {
-	case OpConst, OpLoad, OpStore, OpGetField, OpPutField,
-		OpGoto, OpIfTrue, OpIfFalse, OpIfCmp, OpSwitch, OpCall:
-		fmt.Fprintf(&b, " %d", in.A)
-	case OpLoopBack:
-		fmt.Fprintf(&b, " %d", in.A)
-	case OpNewArr, OpPrint:
-		fmt.Fprintf(&b, " %s", in.Kind)
-	}
-	return b.String()
+	return int(info.pops), int(info.pushes)
 }
 
 // SwitchEntry is one (value, target) pair of a switch table.
@@ -222,10 +372,30 @@ type Method struct {
 	Switches []SwitchTable
 	Loops    []LoopInfo
 	MaxStack int
+}
 
-	// Decoded is the pre-decoded instruction stream (1:1 with Code),
-	// built once after verification; the interpreter dispatches on it.
-	Decoded []DInstr
+// Succs appends the control-flow successors of the instruction at pc
+// to dst and returns the extended slice: a branch target first, then a
+// switch's default before its entries, then the fall-through. A return
+// has none. It is the one successor walk the verifier, stack depth
+// analysis and JIT front end share, and allocates only to grow dst.
+func (m *Method) Succs(dst []int, pc int) []int {
+	in := m.Code[pc]
+	switch opTable[in.Op].flow {
+	case flowNext:
+		dst = append(dst, pc+1)
+	case flowJump:
+		dst = append(dst, int(in.A))
+	case flowBranch:
+		dst = append(dst, int(in.A), pc+1)
+	case flowSwitch:
+		t := &m.Switches[in.A]
+		dst = append(dst, t.Default)
+		for _, e := range t.Entries {
+			dst = append(dst, e.Target)
+		}
+	}
+	return dst
 }
 
 // IsRefSlot reports whether local slot i holds an array reference

@@ -6,218 +6,143 @@ import (
 	"artemis/internal/lang/ast"
 )
 
-// verifyMethod checks structural well-formedness of a compiled method
-// (branch targets in range, consistent operand stack depths along all
-// paths) and computes MaxStack. It is run on everything the compiler
-// produces, so the interpreter and JIT can assume valid code.
+// verifyMethod checks that m is safe to run and computes its MaxStack.
+// It is run on everything the compiler produces, and the interpreter
+// and the JIT trust what it guarantees without checking again:
+//
+//   - every pc, reachable or not, holds a defined opcode whose operands
+//     are in range: local slots, fields, switch tables, methods, value
+//     kinds, and every control-flow successor;
+//   - a call's B is its callee's NParams, and OpCall (OpCallV) calls a
+//     method that returns a value (returns void); likewise OpRetV
+//     (OpRet) only occurs in a method that returns a value (void);
+//   - an OpLoopBack's B names a recorded loop whose head is its target;
+//   - on every path the operand stack never underflows, has one depth
+//     at each pc, and is empty at back-edges (statement boundaries,
+//     which OSR depends on) and after returns.
 func verifyMethod(p *Program, m *Method) error {
-	n := len(m.Code)
-	if n == 0 {
+	if len(m.Code) == 0 {
 		return fmt.Errorf("empty code")
 	}
-	depth := make([]int, n) // -1 = unvisited
-	for i := range depth {
-		depth[i] = -1
+	if m.NParams > len(m.Locals) {
+		return fmt.Errorf("%d params but %d local slots", m.NParams, len(m.Locals))
 	}
-
-	// stackEffect returns (pops, pushes) for the instruction.
-	stackEffect := func(in Instr) (int, int, error) {
-		switch in.Op {
-		case OpNop:
-			return 0, 0, nil
-		case OpConst, OpLoad, OpGetField:
-			return 0, 1, nil
-		case OpStore, OpPutField, OpPop, OpIfTrue, OpIfFalse, OpSwitch, OpPrint, OpRetV:
-			return 1, 0, nil
-		case OpDup:
-			return 1, 2, nil
-		case OpDup2:
-			return 2, 4, nil
-		case OpNewArr, OpArrLen, OpNeg, OpBitNot, OpL2I:
-			return 1, 1, nil
-		case OpALoad, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
-			OpShl, OpShr, OpUshr, OpCmpSet:
-			return 2, 1, nil
-		case OpAStore:
-			return 3, 0, nil
-		case OpIfCmp:
-			return 2, 0, nil
-		case OpGoto, OpLoopBack, OpRet:
-			return 0, 0, nil
-		case OpCall:
-			mi := int(in.A)
-			if mi < 0 || mi >= len(p.Methods) {
-				return 0, 0, fmt.Errorf("call target %d out of range", mi)
-			}
-			callee := p.Methods[mi]
-			push := 0
-			if callee.Ret.Kind != ast.KindVoid {
-				push = 1
-			}
-			return callee.NParams, push, nil
+	succs := make([]int, 0, 8)
+	for pc, in := range m.Code {
+		if err := checkOperands(p, m, in); err != nil {
+			return fmt.Errorf("pc %d: %w", pc, err)
 		}
-		return 0, 0, fmt.Errorf("unknown opcode %v", in.Op)
+		succs = m.Succs(succs[:0], pc)
+		for _, s := range succs {
+			if s < 0 || s >= len(m.Code) {
+				return fmt.Errorf("pc %d: branch target %d out of range", pc, s)
+			}
+		}
 	}
+	_, maxDepth, err := stackDepths(m)
+	if err != nil {
+		return err
+	}
+	m.MaxStack = maxDepth
+	return nil
+}
 
-	type workItem struct{ pc, d int }
-	work := []workItem{{0, 0}}
-	maxDepth := 0
-	push := func(pc, d int) error {
-		if pc < 0 || pc >= n {
-			return fmt.Errorf("branch target %d out of range", pc)
-		}
-		if depth[pc] == -1 {
-			depth[pc] = d
-			work = append(work, workItem{pc, d})
-		} else if depth[pc] != d {
-			return fmt.Errorf("inconsistent stack depth at pc %d: %d vs %d", pc, depth[pc], d)
+// checkOperands checks one instruction's opcode and operands.
+func checkOperands(p *Program, m *Method, in Instr) error {
+	if !in.Op.valid() {
+		return fmt.Errorf("unknown opcode %v", in.Op)
+	}
+	inRange := func(what string, n int) error {
+		if in.A < 0 || in.A >= int64(n) {
+			return fmt.Errorf("%s %d out of range", what, in.A)
 		}
 		return nil
 	}
-	depth[0] = 0
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := m.Code[it.pc]
-		pops, pushes, err := stackEffect(in)
-		if err != nil {
-			return fmt.Errorf("pc %d: %w", it.pc, err)
+	switch opTable[in.Op].arg {
+	case argLocal:
+		return inRange("local slot", len(m.Locals))
+	case argField:
+		return inRange("field", len(p.Fields))
+	case argTable:
+		return inRange("switch table", len(m.Switches))
+	case argKind:
+		switch ast.Kind(in.Kind) {
+		case ast.KindInt, ast.KindLong, ast.KindBoolean:
+			return nil
 		}
-		if it.d < pops {
-			return fmt.Errorf("pc %d: stack underflow (%d < %d)", it.pc, it.d, pops)
+		return fmt.Errorf("bad value kind %d", in.Kind)
+	case argMethod:
+		if err := inRange("call target", len(p.Methods)); err != nil {
+			return err
 		}
-		d := it.d - pops + pushes
-		if d > maxDepth {
-			maxDepth = d
+		callee := p.Methods[in.A]
+		if int(in.B) != callee.NParams {
+			return fmt.Errorf("call passes %d args, %s takes %d", in.B, callee.Name, callee.NParams)
 		}
-		switch in.Op {
-		case OpGoto, OpLoopBack:
-			if err := push(int(in.A), d); err != nil {
-				return err
-			}
-		case OpIfTrue, OpIfFalse, OpIfCmp:
-			if err := push(int(in.A), d); err != nil {
-				return err
-			}
-			if err := push(it.pc+1, d); err != nil {
-				return err
-			}
-		case OpSwitch:
-			ti := int(in.A)
-			if ti < 0 || ti >= len(m.Switches) {
-				return fmt.Errorf("pc %d: switch table %d out of range", it.pc, ti)
-			}
-			t := m.Switches[ti]
-			if err := push(t.Default, d); err != nil {
-				return err
-			}
-			for _, e := range t.Entries {
-				if err := push(e.Target, d); err != nil {
-					return err
-				}
-			}
-		case OpRet:
-			if d != 0 {
-				return fmt.Errorf("pc %d: return with non-empty stack (%d)", it.pc, d)
-			}
-		case OpRetV:
-			if d != 0 {
-				return fmt.Errorf("pc %d: retv leaves %d extra words", it.pc, d)
-			}
-		default:
-			if err := push(it.pc+1, d); err != nil {
-				return err
-			}
-		}
-		// Back-edges must occur at empty-stack points (statement
-		// boundaries); the OSR machinery depends on this.
-		if in.Op == OpLoopBack && d != 0 {
-			return fmt.Errorf("pc %d: back-edge with non-empty stack", it.pc)
+		if (in.Op == OpCallV) != (callee.Ret.Kind == ast.KindVoid) {
+			return fmt.Errorf("%v of %s, which returns %s", in.Op, callee.Name, callee.Ret)
 		}
 	}
-
-	// Validate slot and field indices.
-	for pc, in := range m.Code {
-		switch in.Op {
-		case OpLoad, OpStore:
-			if in.A < 0 || int(in.A) >= len(m.Locals) {
-				return fmt.Errorf("pc %d: local slot %d out of range", pc, in.A)
-			}
-		case OpGetField, OpPutField:
-			if in.A < 0 || int(in.A) >= len(p.Fields) {
-				return fmt.Errorf("pc %d: field %d out of range", pc, in.A)
-			}
+	switch in.Op {
+	case OpLoopBack:
+		if in.B < 0 || int(in.B) >= len(m.Loops) || int64(m.Loops[in.B].HeadPC) != in.A {
+			return fmt.Errorf("back-edge to %d is not the head of loop %d", in.A, in.B)
+		}
+	case OpRet, OpRetV:
+		if (in.Op == OpRet) != (m.Ret.Kind == ast.KindVoid) {
+			return fmt.Errorf("%v in a method returning %s", in.Op, m.Ret)
 		}
 	}
-	m.MaxStack = maxDepth
 	return nil
 }
 
 // StackDepths recomputes the operand stack depth at every pc of a
 // verified method (-1 for unreachable code). The JIT front end uses
 // this when building SSA and deopt frame states.
-func StackDepths(p *Program, m *Method) []int {
-	n := len(m.Code)
-	depth := make([]int, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	type workItem struct{ pc, d int }
-	work := []workItem{{0, 0}}
-	depth[0] = 0
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := m.Code[it.pc]
-		d := it.d + stackDelta(p, in)
-		enqueue := func(pc int) {
-			if depth[pc] == -1 {
-				depth[pc] = d
-				work = append(work, workItem{pc, d})
-			}
-		}
-		switch in.Op {
-		case OpGoto, OpLoopBack:
-			enqueue(int(in.A))
-		case OpIfTrue, OpIfFalse, OpIfCmp:
-			enqueue(int(in.A))
-			enqueue(it.pc + 1)
-		case OpSwitch:
-			t := m.Switches[in.A]
-			enqueue(t.Default)
-			for _, e := range t.Entries {
-				enqueue(e.Target)
-			}
-		case OpRet, OpRetV:
-		default:
-			enqueue(it.pc + 1)
-		}
-	}
+func StackDepths(m *Method) []int {
+	depth, _, _ := stackDepths(m)
 	return depth
 }
 
-// stackDelta returns pushes-pops for in (method must be valid).
-func stackDelta(p *Program, in Instr) int {
-	switch in.Op {
-	case OpConst, OpLoad, OpGetField, OpDup:
-		return 1
-	case OpDup2:
-		return 2
-	case OpStore, OpPutField, OpPop, OpIfTrue, OpIfFalse, OpSwitch, OpPrint, OpRetV,
-		OpALoad, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
-		OpShl, OpShr, OpUshr, OpCmpSet:
-		return -1
-	case OpAStore:
-		return -3
-	case OpIfCmp:
-		return -2
-	case OpCall:
-		callee := p.Methods[in.A]
-		d := -callee.NParams
-		if callee.Ret.Kind != ast.KindVoid {
-			d++
-		}
-		return d
+// stackDepths computes the operand stack depth before every pc (-1 for
+// unreachable code) and the maximum depth, propagating each
+// instruction's stack effect along its successors. It reports the
+// first path on which the stack underflows, joins at two depths, or is
+// not empty at a back-edge or after a return. The method's successors
+// must be in range.
+func stackDepths(m *Method) (depth []int, maxDepth int, err error) {
+	depth = make([]int, len(m.Code))
+	for i := range depth {
+		depth[i] = -1
 	}
-	return 0
+	depth[0] = 0
+	work := []int{0}
+	succs := make([]int, 0, 8) // on the stack unless a switch outgrows it
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
+		in := m.Code[pc]
+		pops, pushes := in.stackEffect()
+		d := depth[pc]
+		if d < pops {
+			return depth, 0, fmt.Errorf("pc %d: stack underflow (%d < %d)", pc, d, pops)
+		}
+		d += pushes - pops
+		maxDepth = max(maxDepth, d)
+		if d != 0 && (in.Op == OpLoopBack || opTable[in.Op].flow == flowReturn) {
+			return depth, 0, fmt.Errorf("pc %d: %v leaves %d words on the stack", pc, in.Op, d)
+		}
+		succs = m.Succs(succs[:0], pc)
+		for _, s := range succs {
+			switch depth[s] {
+			case -1:
+				depth[s] = d
+				work = append(work, s)
+			case d:
+			default:
+				return depth, 0, fmt.Errorf("inconsistent stack depth at pc %d: %d vs %d", s, depth[s], d)
+			}
+		}
+	}
+	return depth, maxDepth, nil
 }

@@ -11,8 +11,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"artemis/internal/blame"
 	"artemis/internal/fuzz"
 	"artemis/internal/lang/ast"
@@ -58,35 +56,25 @@ func (bl *blamer) localize(f Finding, src string) *blame.Result {
 	return blame.Localize(prog, symptom, bl.cfg)
 }
 
-// symptomFor rebuilds the finding's symptom predicate, mirroring the
-// reducer's keep predicates (keep.go) so "still triggers" means the
-// same thing to reduction and to localization: crashes must reproduce
-// the exact dedup signature; mis-compilations must diverge from an
-// interpreted reference with the same signature.
+// symptomFor rebuilds the finding's symptom predicate from the same
+// signature checks as the reducer's keep predicates (keep.go), so
+// "still triggers" means the same thing to reduction and to
+// localization: crashes must reproduce the exact dedup signature;
+// mis-compilations must diverge from an interpreted reference with the
+// same signature.
 func (bl *blamer) symptomFor(f Finding, prog *ast.Program) blame.Symptom {
-	prof := bl.cfg.Profile
+	name := bl.cfg.Profile.Name
 	switch f.Kind {
 	case CrashFinding:
-		sig := f.Signature
-		return func(out *vm.Output) bool {
-			return out.Term == vm.TermCrash &&
-				signatureOf(CrashFinding, prof.Name, componentOf(out.Detail), out.Detail) == sig
-		}
+		return func(out *vm.Output) bool { return crashSignature(name, out) == f.Signature }
 	case Miscompilation:
-		intCfg := prof.InterpreterConfig()
+		intCfg := bl.cfg.Profile.InterpreterConfig()
 		intCfg.StepLimit = bl.cfg.StepLimit
 		ref := vm.Run(intCfg, Compile(prog)).Output
-		if ref.Term == vm.TermTimeout {
+		if !ref.Conclusive() {
 			return nil // no usable reference
 		}
-		sig := f.Signature
-		return func(out *vm.Output) bool {
-			if out.Term == vm.TermTimeout || out.Equivalent(ref) {
-				return false
-			}
-			detail := fmt.Sprintf("%s-vs-%s", ref.Term, out.Term)
-			return signatureOf(Miscompilation, prof.Name, "", detail) == sig
-		}
+		return func(out *vm.Output) bool { return divergenceSignature(name, ref, out) == f.Signature }
 	default:
 		return nil
 	}

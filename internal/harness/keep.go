@@ -71,13 +71,33 @@ func (kc KeepConfig) runBoth(p *ast.Program, stop *atomic.Bool) (jit, interp *vm
 	return jit, kc.run(kc.Profile.InterpreterConfig(), bp, stop)
 }
 
+// crashSignature returns the dedup signature of a run that crashed
+// the VM, or "" when it did not crash. It and divergenceSignature are
+// the one definition of "still triggers the finding" that confirmation,
+// reduction and fault localization (blame.go) share.
+func crashSignature(profile string, out *vm.Output) string {
+	if out.Term != vm.TermCrash {
+		return ""
+	}
+	return signatureOf(CrashFinding, profile, componentOf(out.Detail), out.Detail)
+}
+
+// divergenceSignature returns the mis-compilation signature of out
+// against the reference ref, or "" when the two agree or either is
+// missing or inconclusive: a timed-out or stopped run proves nothing.
+func divergenceSignature(profile string, ref, out *vm.Output) string {
+	if ref == nil || !ref.Conclusive() || !out.Conclusive() || out.Equivalent(ref) {
+		return ""
+	}
+	return signatureOf(Miscompilation, profile, "", fmt.Sprintf("%s-vs-%s", ref.Term, out.Term))
+}
+
 // crashes keeps programs that crash the seeded-defect VM with a crash
 // signature that match accepts.
 func (kc KeepConfig) crashes(match func(sig string) bool) reduce.Test {
 	return func(p *ast.Program, stop *atomic.Bool) bool {
-		out := kc.runJIT(p, stop)
-		return out.Term == vm.TermCrash &&
-			match(signatureOf(CrashFinding, kc.Profile.Name, componentOf(out.Detail), out.Detail))
+		sig := crashSignature(kc.Profile.Name, kc.runJIT(p, stop))
+		return sig != "" && match(sig)
 	}
 }
 
@@ -90,11 +110,8 @@ func (kc KeepConfig) crashes(match func(sig string) bool) reduce.Test {
 func (kc KeepConfig) diverges(match func(sig string) bool) reduce.Test {
 	return func(p *ast.Program, stop *atomic.Bool) bool {
 		jit, interp := kc.runBoth(p, stop)
-		if interp == nil || !interp.Conclusive() || jit.Equivalent(interp) {
-			return false
-		}
-		detail := fmt.Sprintf("%s-vs-%s", interp.Term, jit.Term)
-		return match(signatureOf(Miscompilation, kc.Profile.Name, "", detail))
+		sig := divergenceSignature(kc.Profile.Name, interp, jit)
+		return sig != "" && match(sig)
 	}
 }
 

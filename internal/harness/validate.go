@@ -397,8 +397,7 @@ func newFinding(o Options, set bugs.Set, bp *bytecode.Program, seedID int64, mut
 		// keys would be needlessly brittle for crash diagnostics).
 		again := runProgram(o, set, bp).Output
 		if f.Kind == CrashFinding {
-			f.Confirmed = again.Term == vm.TermCrash &&
-				signatureOf(CrashFinding, o.Profile.Name, componentOf(again.Detail), again.Detail) == f.Signature
+			f.Confirmed = crashSignature(o.Profile.Name, again) == f.Signature
 		} else {
 			f.Confirmed = again.Key() == out.Key()
 		}

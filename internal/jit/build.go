@@ -54,30 +54,21 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 	}
 
 	// --- Block discovery over the bytecode CFG -------------------------
+	// A block starts at the entry, at every successor of a block-ending
+	// instruction, and after one. The verifier guarantees successors
+	// are in range and that only a block end can be the last pc.
 	isLeader := make([]bool, len(m.Code))
 	isLeader[entryPC] = true
-	mark := func(pc int) {
-		if pc >= 0 && pc < len(m.Code) {
-			isLeader[pc] = true
-		}
-	}
+	succs := make([]int, 0, 8) // on the stack unless a switch outgrows it
 	for pc, in := range m.Code {
-		switch in.Op {
-		case bytecode.OpGoto, bytecode.OpLoopBack:
-			mark(int(in.A))
-			mark(pc + 1)
-		case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfCmp:
-			mark(int(in.A))
-			mark(pc + 1)
-		case bytecode.OpSwitch:
-			t := m.Switches[in.A]
-			mark(t.Default)
-			for _, e := range t.Entries {
-				mark(e.Target)
+		if in.Op.EndsBlock() {
+			succs = m.Succs(succs[:0], pc)
+			for _, s := range succs {
+				isLeader[s] = true
 			}
-			mark(pc + 1)
-		case bytecode.OpRet, bytecode.OpRetV:
-			mark(pc + 1)
+			if pc+1 < len(m.Code) {
+				isLeader[pc+1] = true
+			}
 		}
 	}
 
@@ -85,45 +76,12 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 	entry := f.NewBlock()
 	f.Entry = entry
 
-	// bcSuccs returns the bytecode successors of the block starting at
-	// leader pc, along with the pc range of the block.
-	blockEnd := func(start int) int {
-		pc := start
-		for {
-			in := m.Code[pc]
-			switch in.Op {
-			case bytecode.OpGoto, bytecode.OpLoopBack, bytecode.OpIfTrue,
-				bytecode.OpIfFalse, bytecode.OpIfCmp, bytecode.OpSwitch,
-				bytecode.OpRet, bytecode.OpRetV:
-				return pc
-			}
-			if pc+1 < len(m.Code) && isLeader[pc+1] {
-				return pc // falls through into the next leader
-			}
+	// blockEnd returns the last pc of the block starting at leader pc.
+	blockEnd := func(pc int) int {
+		for !m.Code[pc].Op.EndsBlock() && !isLeader[pc+1] {
 			pc++
 		}
-	}
-
-	bcSuccs := func(start int) []int {
-		end := blockEnd(start)
-		in := m.Code[end]
-		switch in.Op {
-		case bytecode.OpGoto, bytecode.OpLoopBack:
-			return []int{int(in.A)}
-		case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfCmp:
-			return []int{int(in.A), end + 1}
-		case bytecode.OpSwitch:
-			t := m.Switches[in.A]
-			succs := []int{t.Default}
-			for _, e := range t.Entries {
-				succs = append(succs, e.Target)
-			}
-			return succs
-		case bytecode.OpRet, bytecode.OpRetV:
-			return nil
-		default:
-			return []int{end + 1}
-		}
+		return pc
 	}
 
 	// Reachable leaders from entryPC, and predecessor counts.
@@ -135,7 +93,8 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 	for len(stack) > 0 {
 		pc := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range bcSuccs(pc) {
+		succs = m.Succs(succs[:0], blockEnd(pc))
+		for _, s := range succs {
 			predCount[s]++
 			if !reached[s] {
 				reached[s] = true
@@ -155,7 +114,7 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 		blockAt[pc] = f.NewBlock()
 	}
 
-	depths := bytecode.StackDepths(prog, m)
+	depths := bytecode.StackDepths(m)
 
 	// --- Abstract interpretation state ---------------------------------
 	type state struct {
@@ -312,7 +271,6 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 		for pc := startPC; ; pc++ {
 			in := m.Code[pc]
 			switch in.Op {
-			case bytecode.OpNop:
 			case bytecode.OpConst:
 				v := newVal(ir.OpConst)
 				v.Aux = in.A
@@ -338,7 +296,7 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 				v.Aux = in.A
 			case bytecode.OpNewArr:
 				v := newVal(ir.OpNewArr, pop())
-				v.Kind = in.Kind
+				v.Kind = ast.Kind(in.Kind)
 				push(v)
 			case bytecode.OpALoad:
 				idx := pop()
@@ -351,67 +309,71 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 				newVal(ir.OpAStore, ref, idx, val)
 			case bytecode.OpArrLen:
 				push(newVal(ir.OpArrLen, pop()))
-			case bytecode.OpAdd, bytecode.OpSub, bytecode.OpMul, bytecode.OpDiv,
-				bytecode.OpRem, bytecode.OpAnd, bytecode.OpOr, bytecode.OpXor,
-				bytecode.OpShl, bytecode.OpShr, bytecode.OpUshr:
+			case bytecode.OpAddL, bytecode.OpAddI, bytecode.OpSubL, bytecode.OpSubI,
+				bytecode.OpMulL, bytecode.OpMulI, bytecode.OpDivL, bytecode.OpDivI,
+				bytecode.OpRemL, bytecode.OpRemI, bytecode.OpAndL, bytecode.OpAndI,
+				bytecode.OpOrL, bytecode.OpOrI, bytecode.OpXorL, bytecode.OpXorI,
+				bytecode.OpShlL, bytecode.OpShlI, bytecode.OpShrL, bytecode.OpShrI,
+				bytecode.OpUshrL, bytecode.OpUshrI:
 				y := pop()
 				x := pop()
-				v := newVal(ir.BinOpFor(in.Op), x, y)
-				v.Wide = in.Wide
+				op, wide := ir.BinOpFor(in.Op)
+				v := newVal(op, x, y)
+				v.Wide = wide
 				push(v)
-			case bytecode.OpNeg:
+			case bytecode.OpNegL, bytecode.OpNegI:
 				v := newVal(ir.OpNeg, pop())
-				v.Wide = in.Wide
+				v.Wide = in.Op == bytecode.OpNegL
 				push(v)
-			case bytecode.OpBitNot:
+			case bytecode.OpBitNotL, bytecode.OpBitNotI:
 				v := newVal(ir.OpBitNot, pop())
-				v.Wide = in.Wide
+				v.Wide = in.Op == bytecode.OpBitNotL
 				push(v)
 			case bytecode.OpL2I:
 				push(newVal(ir.OpL2I, pop()))
-			case bytecode.OpCmpSet:
+			case bytecode.OpCmpEQ, bytecode.OpCmpNE, bytecode.OpCmpLT,
+				bytecode.OpCmpLE, bytecode.OpCmpGT, bytecode.OpCmpGE:
 				y := pop()
 				x := pop()
 				v := newVal(ir.OpCmp, x, y)
-				v.Cond = in.Cond
+				v.Cond = in.Op.Cond()
 				push(v)
-			case bytecode.OpCall:
-				callee := prog.Methods[in.A]
-				args := make([]*ir.Value, callee.NParams)
-				for i := callee.NParams - 1; i >= 0; i-- {
+			case bytecode.OpCall, bytecode.OpCallV:
+				args := make([]*ir.Value, in.B)
+				for i := len(args) - 1; i >= 0; i-- {
 					args[i] = pop()
 				}
 				v := newVal(ir.OpCall, args...)
 				v.Aux = in.A
-				if callee.Ret.Kind != ast.KindVoid {
+				if in.Op == bytecode.OpCall {
 					push(v)
 				}
 			case bytecode.OpPrint:
 				v := newVal(ir.OpPrint, pop())
-				v.Kind = in.Kind
+				v.Kind = ast.Kind(in.Kind)
 			case bytecode.OpGoto, bytecode.OpLoopBack:
 				b.Kind = ir.BlockPlain
 				addEdge(b, int(in.A), st)
 				return
-			case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfCmp:
+			case bytecode.OpIfTrue, bytecode.OpIfFalse, bytecode.OpIfCmpEQ, bytecode.OpIfCmpNE,
+				bytecode.OpIfCmpLT, bytecode.OpIfCmpLE, bytecode.OpIfCmpGT, bytecode.OpIfCmpGE:
 				var cond *ir.Value
 				// Frame state before consuming operands, so the
 				// interpreter re-executes the branch on deopt.
 				fs := captureFS(pc, st, blockEntry)
-				if in.Op == bytecode.OpIfCmp {
+				switch in.Op {
+				case bytecode.OpIfTrue:
+					cond = pop()
+				case bytecode.OpIfFalse:
+					z := newVal(ir.OpConst)
+					z.Aux = 0
+					cond = newVal(ir.OpCmp, pop(), z)
+					cond.Cond = bytecode.CondEQ
+				default:
 					y := pop()
 					x := pop()
 					cond = newVal(ir.OpCmp, x, y)
-					cond.Cond = in.Cond
-				} else {
-					cond = pop()
-					if in.Op == bytecode.OpIfFalse {
-						z := newVal(ir.OpConst)
-						z.Aux = 0
-						eq := newVal(ir.OpCmp, cond, z)
-						eq.Cond = bytecode.CondEQ
-						cond = eq
-					}
+					cond.Cond = in.Op.Cond()
 				}
 				// Speculation: prune a one-sided branch into a guard.
 				if cfg.speculate && prof != nil {

@@ -49,7 +49,8 @@ const (
 	mUshrI
 	mUshrL
 	// Division and remainder can trap, so they keep vm.EvalBinary:
-	// R[d] = R[a] op R[b] with op = bytecode.Op(imm).
+	// R[d] = R[a] op R[b] with op = bytecode.Op(imm), which carries the
+	// width.
 	mDivRemI
 	mDivRemL
 	mUshrL32 // long >>> with a 32-bit count mask (hs-cg-ushr-wide)
@@ -351,7 +352,7 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 				in := minstr{op: binOp(v.Op, v.Wide), d: slotOf(v), a: ensureIn(v.Args[0]), b: ensureIn(v.Args[1])}
 				switch {
 				case v.Op == ir.OpDiv || v.Op == ir.OpRem:
-					in.imm = int64(v.Op.BytecodeOpFor())
+					in.imm = int64(v.Op.BytecodeOpFor(v.Wide))
 				case v.Op == ir.OpUshr && v.Args[1].Op != ir.OpConst:
 					if v.Wide && bugSet.Has("hs-cg-ushr-wide") {
 						in.op = mUshrL32 // BUG: wrong mask for long >>>

@@ -80,63 +80,47 @@ var opNames = [...]string{
 
 func (op Op) String() string { return opNames[op] }
 
-// BinOpFor maps a bytecode arithmetic opcode to the IR op.
-func BinOpFor(op bytecode.Op) Op {
-	switch op {
-	case bytecode.OpAdd:
-		return OpAdd
-	case bytecode.OpSub:
-		return OpSub
-	case bytecode.OpMul:
-		return OpMul
-	case bytecode.OpDiv:
-		return OpDiv
-	case bytecode.OpRem:
-		return OpRem
-	case bytecode.OpAnd:
-		return OpAnd
-	case bytecode.OpOr:
-		return OpOr
-	case bytecode.OpXor:
-		return OpXor
-	case bytecode.OpShl:
-		return OpShl
-	case bytecode.OpShr:
-		return OpShr
-	case bytecode.OpUshr:
-		return OpUshr
+// bytecodeOps holds the long and the int bytecode form of each
+// two-operand arithmetic op: the one mapping between the two
+// instruction sets, used in both directions.
+var bytecodeOps = [...][2]bytecode.Op{
+	OpAdd:  {bytecode.OpAddL, bytecode.OpAddI},
+	OpSub:  {bytecode.OpSubL, bytecode.OpSubI},
+	OpMul:  {bytecode.OpMulL, bytecode.OpMulI},
+	OpDiv:  {bytecode.OpDivL, bytecode.OpDivI},
+	OpRem:  {bytecode.OpRemL, bytecode.OpRemI},
+	OpAnd:  {bytecode.OpAndL, bytecode.OpAndI},
+	OpOr:   {bytecode.OpOrL, bytecode.OpOrI},
+	OpXor:  {bytecode.OpXorL, bytecode.OpXorI},
+	OpShl:  {bytecode.OpShlL, bytecode.OpShlI},
+	OpShr:  {bytecode.OpShrL, bytecode.OpShrI},
+	OpUshr: {bytecode.OpUshrL, bytecode.OpUshrI},
+}
+
+// BinOpFor maps a bytecode arithmetic opcode to the IR op and its
+// width (true for the 64-bit long form).
+func BinOpFor(op bytecode.Op) (Op, bool) {
+	for o := OpAdd; o <= OpUshr; o++ {
+		switch op {
+		case bytecodeOps[o][0]:
+			return o, true
+		case bytecodeOps[o][1]:
+			return o, false
+		}
 	}
 	panic(fmt.Sprintf("ir: not a binary bytecode op: %v", op))
 }
 
-// BytecodeOpFor maps an IR arithmetic op back to bytecode (for shared
-// constant folding via vm.EvalBinary).
-func (op Op) BytecodeOpFor() bytecode.Op {
-	switch op {
-	case OpAdd:
-		return bytecode.OpAdd
-	case OpSub:
-		return bytecode.OpSub
-	case OpMul:
-		return bytecode.OpMul
-	case OpDiv:
-		return bytecode.OpDiv
-	case OpRem:
-		return bytecode.OpRem
-	case OpAnd:
-		return bytecode.OpAnd
-	case OpOr:
-		return bytecode.OpOr
-	case OpXor:
-		return bytecode.OpXor
-	case OpShl:
-		return bytecode.OpShl
-	case OpShr:
-		return bytecode.OpShr
-	case OpUshr:
-		return bytecode.OpUshr
+// BytecodeOpFor maps an IR arithmetic op of the given width back to
+// bytecode (for shared constant folding via vm.EvalBinary).
+func (op Op) BytecodeOpFor(wide bool) bytecode.Op {
+	if !op.IsBinArith() {
+		panic(fmt.Sprintf("ir: %v is not arithmetic", op))
 	}
-	panic(fmt.Sprintf("ir: %v is not arithmetic", op))
+	if wide {
+		return bytecodeOps[op][0]
+	}
+	return bytecodeOps[op][1]
 }
 
 // IsBinArith reports whether op is a two-operand arithmetic op.

@@ -158,7 +158,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			// hs-cg-ushr-wide: long >>> with a 32-bit count mask.
 			frame[in.d] = int64(uint64(frame[in.a]) >> (uint64(frame[in.b]) & 31))
 		case mDivRemI, mDivRemL:
-			v, err := vm.EvalBinary(bytecode.Op(in.imm), in.op == mDivRemL, frame[in.a], frame[in.b])
+			v, err := vm.EvalBinary(bytecode.Op(in.imm), frame[in.a], frame[in.b])
 			if err != nil {
 				return c.unwindErr(env, err, backedges)
 			}

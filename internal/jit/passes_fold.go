@@ -78,7 +78,7 @@ func simplify(f *ir.Func, v *ir.Value, resolve func(*ir.Value) *ir.Value,
 						"folding overflow: %d %s -1", x, v.Op)
 				}
 			}
-			r, err := vm.EvalBinary(v.Op.BytecodeOpFor(), v.Wide, x, y)
+			r, err := vm.EvalBinary(v.Op.BytecodeOpFor(v.Wide), x, y)
 			if err != nil {
 				return nil
 			}

@@ -13,16 +13,15 @@ import (
 // profiling data when profiled is true, drives back-edge counters, and
 // performs OSR when the policy asks for it.
 //
-// Dispatch runs on the method's pre-decoded instruction stream
-// (bytecode.DInstr): width and condition variants are fused into the
-// opcode, callee arity/void-ness and loop ids are pre-resolved, and the
-// operand stack is a fixed MaxStack-capacity window indexed by sp
-// (the verifier guarantees depth never exceeds MaxStack). The decoded
-// stream maps 1:1 onto Method.Code, so pc values — deopt resume
-// points, profile keys — mean the same thing they always did.
+// Dispatch runs on the method's verified 16-byte instruction words:
+// width and condition variants are fused into the opcode, a call
+// carries its argument count and void-ness, a back-edge its loop id,
+// and the operand stack is a fixed MaxStack-capacity window indexed by
+// sp. The verifier guarantees every operand the loop indexes with is in
+// range and that the depth never exceeds MaxStack.
 func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *TempVector, profiled bool) (int64, *Unwind) {
 	m := vm.prog.Methods[st.Index]
-	code := m.Decoded
+	code := m.Code
 	sp := len(stack)
 	var mark arenaMark
 	ownStack := stack == nil
@@ -59,41 +58,39 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 		}
 		in := code[pc]
 		switch in.Op {
-		case bytecode.DNop:
-			pc++
-		case bytecode.DConst:
+		case bytecode.OpConst:
 			stack[sp] = in.A
 			sp++
 			pc++
-		case bytecode.DLoad:
+		case bytecode.OpLoad:
 			stack[sp] = locals[in.A]
 			sp++
 			pc++
-		case bytecode.DStore:
+		case bytecode.OpStore:
 			sp--
 			locals[in.A] = stack[sp]
 			pc++
-		case bytecode.DPop:
+		case bytecode.OpPop:
 			sp--
 			pc++
-		case bytecode.DDup:
+		case bytecode.OpDup:
 			stack[sp] = stack[sp-1]
 			sp++
 			pc++
-		case bytecode.DDup2:
+		case bytecode.OpDup2:
 			stack[sp] = stack[sp-2]
 			stack[sp+1] = stack[sp-1]
 			sp += 2
 			pc++
-		case bytecode.DGetField:
+		case bytecode.OpGetField:
 			stack[sp] = vm.fields[in.A]
 			sp++
 			pc++
-		case bytecode.DPutField:
+		case bytecode.OpPutField:
 			sp--
 			vm.fields[in.A] = stack[sp]
 			pc++
-		case bytecode.DNewArr:
+		case bytecode.OpNewArr:
 			sp--
 			n := stack[sp]
 			vm.frames[fi].sp = sp
@@ -104,7 +101,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			stack[sp] = h
 			sp++
 			pc++
-		case bytecode.DALoad:
+		case bytecode.OpALoad:
 			sp--
 			v, err := vm.ArrayLoad(stack[sp-1], int64(int32(stack[sp])))
 			if err != nil {
@@ -112,13 +109,13 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			}
 			stack[sp-1] = v
 			pc++
-		case bytecode.DAStore:
+		case bytecode.OpAStore:
 			sp -= 3
 			if err := vm.ArrayStore(stack[sp], int64(int32(stack[sp+1])), stack[sp+2]); err != nil {
 				return 0, vm.throw(st, err)
 			}
 			pc++
-		case bytecode.DArrLen:
+		case bytecode.OpArrLen:
 			n, err := vm.ArrayLen(stack[sp-1])
 			if err != nil {
 				return 0, vm.throw(st, err)
@@ -126,31 +123,31 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			stack[sp-1] = n
 			pc++
 
-		case bytecode.DAddL:
+		case bytecode.OpAddL:
 			sp--
 			stack[sp-1] += stack[sp]
 			pc++
-		case bytecode.DAddI:
+		case bytecode.OpAddI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) + int32(stack[sp]))
 			pc++
-		case bytecode.DSubL:
+		case bytecode.OpSubL:
 			sp--
 			stack[sp-1] -= stack[sp]
 			pc++
-		case bytecode.DSubI:
+		case bytecode.OpSubI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) - int32(stack[sp]))
 			pc++
-		case bytecode.DMulL:
+		case bytecode.OpMulL:
 			sp--
 			stack[sp-1] *= stack[sp]
 			pc++
-		case bytecode.DMulI:
+		case bytecode.OpMulI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) * int32(stack[sp]))
 			pc++
-		case bytecode.DDivL:
+		case bytecode.OpDivL:
 			sp--
 			b := stack[sp]
 			a := stack[sp-1]
@@ -163,7 +160,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 				stack[sp-1] = a / b
 			}
 			pc++
-		case bytecode.DDivI:
+		case bytecode.OpDivI:
 			sp--
 			y := int32(stack[sp])
 			x := int32(stack[sp-1])
@@ -176,7 +173,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 				stack[sp-1] = int64(x / y)
 			}
 			pc++
-		case bytecode.DRemL:
+		case bytecode.OpRemL:
 			sp--
 			b := stack[sp]
 			a := stack[sp-1]
@@ -189,7 +186,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 				stack[sp-1] = a % b
 			}
 			pc++
-		case bytecode.DRemI:
+		case bytecode.OpRemI:
 			sp--
 			y := int32(stack[sp])
 			x := int32(stack[sp-1])
@@ -202,99 +199,99 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 				stack[sp-1] = int64(x % y)
 			}
 			pc++
-		case bytecode.DAndL:
+		case bytecode.OpAndL:
 			sp--
 			stack[sp-1] &= stack[sp]
 			pc++
-		case bytecode.DAndI:
+		case bytecode.OpAndI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) & int32(stack[sp]))
 			pc++
-		case bytecode.DOrL:
+		case bytecode.OpOrL:
 			sp--
 			stack[sp-1] |= stack[sp]
 			pc++
-		case bytecode.DOrI:
+		case bytecode.OpOrI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) | int32(stack[sp]))
 			pc++
-		case bytecode.DXorL:
+		case bytecode.OpXorL:
 			sp--
 			stack[sp-1] ^= stack[sp]
 			pc++
-		case bytecode.DXorI:
+		case bytecode.OpXorI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) ^ int32(stack[sp]))
 			pc++
-		case bytecode.DShlL:
+		case bytecode.OpShlL:
 			sp--
 			stack[sp-1] <<= uint64(stack[sp]) & 63
 			pc++
-		case bytecode.DShlI:
+		case bytecode.OpShlI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) << (uint32(stack[sp]) & 31))
 			pc++
-		case bytecode.DShrL:
+		case bytecode.OpShrL:
 			sp--
 			stack[sp-1] >>= uint64(stack[sp]) & 63
 			pc++
-		case bytecode.DShrI:
+		case bytecode.OpShrI:
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) >> (uint32(stack[sp]) & 31))
 			pc++
-		case bytecode.DUshrL:
+		case bytecode.OpUshrL:
 			sp--
 			stack[sp-1] = int64(uint64(stack[sp-1]) >> (uint64(stack[sp]) & 63))
 			pc++
-		case bytecode.DUshrI:
+		case bytecode.OpUshrI:
 			sp--
 			stack[sp-1] = int64(int32(uint32(int32(stack[sp-1])) >> (uint32(stack[sp]) & 31)))
 			pc++
 
-		case bytecode.DNegL:
+		case bytecode.OpNegL:
 			stack[sp-1] = -stack[sp-1]
 			pc++
-		case bytecode.DNegI:
+		case bytecode.OpNegI:
 			stack[sp-1] = int64(int32(-stack[sp-1]))
 			pc++
-		case bytecode.DBitNotL:
+		case bytecode.OpBitNotL:
 			stack[sp-1] = ^stack[sp-1]
 			pc++
-		case bytecode.DBitNotI:
+		case bytecode.OpBitNotI:
 			stack[sp-1] = int64(int32(^stack[sp-1]))
 			pc++
-		case bytecode.DL2I:
+		case bytecode.OpL2I:
 			stack[sp-1] = int64(int32(stack[sp-1]))
 			pc++
 
-		case bytecode.DCmpEQ:
+		case bytecode.OpCmpEQ:
 			sp--
 			stack[sp-1] = b2i(stack[sp-1] == stack[sp])
 			pc++
-		case bytecode.DCmpNE:
+		case bytecode.OpCmpNE:
 			sp--
 			stack[sp-1] = b2i(stack[sp-1] != stack[sp])
 			pc++
-		case bytecode.DCmpLT:
+		case bytecode.OpCmpLT:
 			sp--
 			stack[sp-1] = b2i(stack[sp-1] < stack[sp])
 			pc++
-		case bytecode.DCmpLE:
+		case bytecode.OpCmpLE:
 			sp--
 			stack[sp-1] = b2i(stack[sp-1] <= stack[sp])
 			pc++
-		case bytecode.DCmpGT:
+		case bytecode.OpCmpGT:
 			sp--
 			stack[sp-1] = b2i(stack[sp-1] > stack[sp])
 			pc++
-		case bytecode.DCmpGE:
+		case bytecode.OpCmpGE:
 			sp--
 			stack[sp-1] = b2i(stack[sp-1] >= stack[sp])
 			pc++
 
-		case bytecode.DGoto:
+		case bytecode.OpGoto:
 			pc = int(in.A)
-		case bytecode.DIfTrue:
+		case bytecode.OpIfTrue:
 			sp--
 			taken := stack[sp] != 0
 			if profiled {
@@ -305,7 +302,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			} else {
 				pc++
 			}
-		case bytecode.DIfFalse:
+		case bytecode.OpIfFalse:
 			sp--
 			taken := stack[sp] == 0
 			if profiled {
@@ -316,33 +313,33 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			} else {
 				pc++
 			}
-		case bytecode.DIfCmpEQ:
+		case bytecode.OpIfCmpEQ:
 			sp -= 2
 			pc = vm.branchTo(st, pc, int(in.A), stack[sp] == stack[sp+1], profiled)
-		case bytecode.DIfCmpNE:
+		case bytecode.OpIfCmpNE:
 			sp -= 2
 			pc = vm.branchTo(st, pc, int(in.A), stack[sp] != stack[sp+1], profiled)
-		case bytecode.DIfCmpLT:
+		case bytecode.OpIfCmpLT:
 			sp -= 2
 			pc = vm.branchTo(st, pc, int(in.A), stack[sp] < stack[sp+1], profiled)
-		case bytecode.DIfCmpLE:
+		case bytecode.OpIfCmpLE:
 			sp -= 2
 			pc = vm.branchTo(st, pc, int(in.A), stack[sp] <= stack[sp+1], profiled)
-		case bytecode.DIfCmpGT:
+		case bytecode.OpIfCmpGT:
 			sp -= 2
 			pc = vm.branchTo(st, pc, int(in.A), stack[sp] > stack[sp+1], profiled)
-		case bytecode.DIfCmpGE:
+		case bytecode.OpIfCmpGE:
 			sp -= 2
 			pc = vm.branchTo(st, pc, int(in.A), stack[sp] >= stack[sp+1], profiled)
 
-		case bytecode.DSwitch:
+		case bytecode.OpSwitch:
 			sp--
 			t := m.Switches[in.A].Lookup(int64(int32(stack[sp])))
 			if profiled {
 				st.Profile.switchHit(pc, t)
 			}
 			pc = t
-		case bytecode.DLoopBack:
+		case bytecode.OpLoopBack:
 			if profiled {
 				loopID := int(in.B)
 				st.Counters.Backedge[loopID]++
@@ -380,7 +377,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 				}
 			}
 			pc = int(in.A)
-		case bytecode.DCall:
+		case bytecode.OpCall:
 			n := int(in.B)
 			sp -= n
 			vm.frames[fi].sp = sp
@@ -391,7 +388,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			stack[sp] = ret
 			sp++
 			pc++
-		case bytecode.DCallV:
+		case bytecode.OpCallV:
 			n := int(in.B)
 			sp -= n
 			vm.frames[fi].sp = sp
@@ -399,16 +396,16 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 				return 0, uw
 			}
 			pc++
-		case bytecode.DRet:
+		case bytecode.OpRet:
 			return 0, nil
-		case bytecode.DRetV:
+		case bytecode.OpRetV:
 			return stack[sp-1], nil
-		case bytecode.DPrint:
+		case bytecode.OpPrint:
 			sp--
 			vm.Print(ast.Kind(in.Kind), stack[sp])
 			pc++
 		default:
-			panic(fmt.Sprintf("vm: unknown decoded opcode %d at pc %d in %s", in.Op, pc, m.Name))
+			panic(fmt.Sprintf("vm: unknown opcode %v at pc %d in %s", in.Op, pc, m.Name))
 		}
 	}
 }
@@ -443,87 +440,83 @@ func (vm *VM) throw(st *MethodState, err *RuntimeError) *Unwind {
 	return &Unwind{Err: &e}
 }
 
-// EvalBinary applies a binary arithmetic/bitwise bytecode operator with
-// Java semantics: 32-bit wrapping when !wide, 64-bit when wide, masked
-// shift counts, and ArithmeticException on division by zero. It is
-// exported because the interpreter, the JIT constant folder, and the
-// machine executor must share exactly one definition of arithmetic.
-func EvalBinary(op bytecode.Op, wide bool, a, b int64) (int64, *RuntimeError) {
-	if wide {
-		switch op {
-		case bytecode.OpAdd:
-			return a + b, nil
-		case bytecode.OpSub:
-			return a - b, nil
-		case bytecode.OpMul:
-			return a * b, nil
-		case bytecode.OpDiv:
-			if b == 0 {
-				return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
-			}
-			if a == -1<<63 && b == -1 {
-				return a, nil // Java wraps; Go would panic
-			}
-			return a / b, nil
-		case bytecode.OpRem:
-			if b == 0 {
-				return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
-			}
-			if a == -1<<63 && b == -1 {
-				return 0, nil
-			}
-			return a % b, nil
-		case bytecode.OpAnd:
-			return a & b, nil
-		case bytecode.OpOr:
-			return a | b, nil
-		case bytecode.OpXor:
-			return a ^ b, nil
-		case bytecode.OpShl:
-			return a << (uint64(b) & 63), nil
-		case bytecode.OpShr:
-			return a >> (uint64(b) & 63), nil
-		case bytecode.OpUshr:
-			return int64(uint64(a) >> (uint64(b) & 63)), nil
+// EvalBinary applies a binary arithmetic/bitwise bytecode opcode with
+// Java semantics: 32-bit wrapping for the int forms, 64-bit for the
+// long forms, masked shift counts, and ArithmeticException on division
+// by zero. It is exported because the JIT constant folder and the
+// machine executor must share exactly one definition of arithmetic
+// with the interpreter.
+func EvalBinary(op bytecode.Op, a, b int64) (int64, *RuntimeError) {
+	x, y := int32(a), int32(b)
+	switch op {
+	case bytecode.OpAddL:
+		return a + b, nil
+	case bytecode.OpAddI:
+		return int64(x + y), nil
+	case bytecode.OpSubL:
+		return a - b, nil
+	case bytecode.OpSubI:
+		return int64(x - y), nil
+	case bytecode.OpMulL:
+		return a * b, nil
+	case bytecode.OpMulI:
+		return int64(x * y), nil
+	case bytecode.OpDivL:
+		if b == 0 {
+			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
 		}
-	} else {
-		x, y := int32(a), int32(b)
-		switch op {
-		case bytecode.OpAdd:
-			return int64(x + y), nil
-		case bytecode.OpSub:
-			return int64(x - y), nil
-		case bytecode.OpMul:
-			return int64(x * y), nil
-		case bytecode.OpDiv:
-			if y == 0 {
-				return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
-			}
-			if x == -1<<31 && y == -1 {
-				return int64(x), nil
-			}
-			return int64(x / y), nil
-		case bytecode.OpRem:
-			if y == 0 {
-				return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
-			}
-			if x == -1<<31 && y == -1 {
-				return 0, nil
-			}
-			return int64(x % y), nil
-		case bytecode.OpAnd:
-			return int64(x & y), nil
-		case bytecode.OpOr:
-			return int64(x | y), nil
-		case bytecode.OpXor:
-			return int64(x ^ y), nil
-		case bytecode.OpShl:
-			return int64(x << (uint32(y) & 31)), nil
-		case bytecode.OpShr:
-			return int64(x >> (uint32(y) & 31)), nil
-		case bytecode.OpUshr:
-			return int64(int32(uint32(x) >> (uint32(y) & 31))), nil
+		if a == -1<<63 && b == -1 {
+			return a, nil // Java wraps; Go would panic
 		}
+		return a / b, nil
+	case bytecode.OpDivI:
+		if y == 0 {
+			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
+		}
+		if x == -1<<31 && y == -1 {
+			return int64(x), nil
+		}
+		return int64(x / y), nil
+	case bytecode.OpRemL:
+		if b == 0 {
+			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
+		}
+		if a == -1<<63 && b == -1 {
+			return 0, nil
+		}
+		return a % b, nil
+	case bytecode.OpRemI:
+		if y == 0 {
+			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
+		}
+		if x == -1<<31 && y == -1 {
+			return 0, nil
+		}
+		return int64(x % y), nil
+	case bytecode.OpAndL:
+		return a & b, nil
+	case bytecode.OpAndI:
+		return int64(x & y), nil
+	case bytecode.OpOrL:
+		return a | b, nil
+	case bytecode.OpOrI:
+		return int64(x | y), nil
+	case bytecode.OpXorL:
+		return a ^ b, nil
+	case bytecode.OpXorI:
+		return int64(x ^ y), nil
+	case bytecode.OpShlL:
+		return a << (uint64(b) & 63), nil
+	case bytecode.OpShlI:
+		return int64(x << (uint32(y) & 31)), nil
+	case bytecode.OpShrL:
+		return a >> (uint64(b) & 63), nil
+	case bytecode.OpShrI:
+		return int64(x >> (uint32(y) & 31)), nil
+	case bytecode.OpUshrL:
+		return int64(uint64(a) >> (uint64(b) & 63)), nil
+	case bytecode.OpUshrI:
+		return int64(int32(uint32(x) >> (uint32(y) & 31))), nil
 	}
 	panic(fmt.Sprintf("vm: EvalBinary of non-arithmetic op %v", op))
 }

@@ -209,11 +209,6 @@ type VM struct {
 // New creates a VM for prog.
 func New(cfg Config, prog *bytecode.Program) *VM {
 	cfg = cfg.withDefaults()
-	// Compiler-built programs are already pre-decoded; this covers
-	// hand-assembled programs (tests). Programs shared across worker
-	// goroutines always come from Compile, so this is never a write
-	// race in parallel campaigns.
-	prog.Predecode()
 	vm := &VM{
 		cfg:     cfg,
 		prog:    prog,
