@@ -35,17 +35,22 @@ race:
 	$(GO) test -race -timeout $(TIMEOUT) ./internal/harness/ ./internal/reduce/ ./internal/jit/ ./internal/vm/ .
 
 # Blame smoke gate: bisect the flagship GCM store-sink reproducer and
-# assert the behavior-derived localization names gcm (plus the rest of
-# the fast blame-engine suite — verdicts, budget, determinism).
+# assert the behavior-derived localization names gcm and the
+# hs-gcm-store-sink defect (plus the rest of the fast blame-engine
+# suite — verdicts, budget, determinism).
 blame-smoke:
 	$(GO) test -timeout $(TIMEOUT) ./internal/blame/
 
-# Verifier fuzz smoke: 20 s of native fuzzing of the bytecode verifier
-# (internal/bytecode FuzzVerify). Verification must never panic, and
+# Fuzz smoke: 20 s of native fuzzing of the bytecode verifier
+# (internal/bytecode FuzzVerify) and 10 s of journal recovery
+# (internal/journal FuzzRecover). Verification must never panic, and
 # every program it accepts must run on the interpreter without a Go
-# runtime fault. `go test ./...` replays only the checked-in corpus.
+# runtime fault; recovery must never panic, and re-framing what it
+# recovers must reproduce the intact prefix byte for byte. `go test
+# ./...` replays only the checked-in corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime 20s ./internal/bytecode/
+	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/journal/
 
 # Resume-determinism gate: interrupt+resume must be byte-identical to
 # an uninterrupted campaign at workers 1/2/4, including after a torn

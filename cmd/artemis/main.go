@@ -5,7 +5,7 @@
 // Usage:
 //
 //	artemis -profile hotspotlike -seeds 200        # one campaign
-//	artemis -table1 -seeds 150                     # Table 1 across all profiles
+//	artemis -table1 -seeds 150                     # Table 1 across all profiles (runs blame)
 //	artemis -table2 -seeds 150                     # Table 2 (crash components)
 //	artemis -table4 -seeds 400                     # Table 4 (CSE vs traditional)
 //	artemis -selfcheck -seeds 50                   # correct VM: expect 0 findings
@@ -40,11 +40,10 @@ func main() {
 	iters := flag.Int("iters", 8, "mutants per seed (MAX_ITER; the paper uses 8)")
 	seedBase := flag.Int64("seedbase", 0, "first fuzzer seed")
 	steps := flag.Int64("steps", 0, "per-run step budget (0 = default)")
-	confirm := flag.Bool("confirm", false, "confirm findings and bisect the responsible defect (slower)")
 	workers := flag.Int("workers", 0, "parallel seed workers (0 = all CPUs); any value yields identical output")
 	seedTimeout := flag.Duration("seedtimeout", 0, "per-seed wall-clock budget (0 = none; non-zero trades determinism for liveness)")
 	quiet := flag.Bool("quiet", false, "suppress progress lines on stderr")
-	table1 := flag.Bool("table1", false, "regenerate Table 1 (all profiles)")
+	table1 := flag.Bool("table1", false, "regenerate Table 1 (all profiles; runs blame for the confirmed and fixed rows)")
 	table2 := flag.Bool("table2", false, "regenerate Table 2 (crash components)")
 	table4 := flag.Bool("table4", false, "regenerate Table 4 (comparative study, openj9like)")
 	selfcheck := flag.Bool("selfcheck", false, "run against the CORRECT VM; any finding is a bug in this repository")
@@ -54,7 +53,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume an interrupted campaign from -journal, skipping already-journaled seeds")
 	corpusDir := flag.String("corpus", "", "persist every novel finding (seed, mutant, auto-reduced reproducer) under this directory")
 	reduceBudget := flag.Int("reducebudget", 0, "keep-predicate evaluations per finding for in-campaign auto-reduction (0 = default, negative disables)")
-	blameOn := flag.Bool("blame", false, "localize every first-seen finding: bisect the guilty pass set and shrink the forced-compilation method set; prints the behavior-derived Table 2")
+	blameOn := flag.Bool("blame", false, "localize every first-seen finding: bisect the guilty pass set, shrink the forced-compilation method set and isolate the seeded defect; prints the behavior-derived Table 2")
 	blameBudget := flag.Int("blamebudget", 0, "probe VM runs per fault localization (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
@@ -88,12 +87,11 @@ func main() {
 			stats := harness.RunCampaign(harness.CampaignOptions{
 				Options: harness.Options{
 					Profile: prof, MaxIter: *iters, Buggy: true,
-					StepLimit: *steps, ConfirmAndFix: *confirm || *table1,
-					CollectMetrics: collectMetrics,
+					StepLimit: *steps, CollectMetrics: collectMetrics,
 				},
 				Seeds: *seeds, SeedBase: *seedBase,
 				Workers: *workers, SeedTimeout: *seedTimeout, Progress: progress,
-				Blame: *blameOn, BlameBudget: *blameBudget,
+				Blame: *blameOn || *table1, BlameBudget: *blameBudget,
 			})
 			all = append(all, stats)
 		}
@@ -141,8 +139,7 @@ func main() {
 		stats, err := harness.RunResumableCampaign(harness.CampaignOptions{
 			Options: harness.Options{
 				Profile: prof, MaxIter: *iters, Buggy: buggy,
-				StepLimit: *steps, ConfirmAndFix: *confirm,
-				CollectMetrics: collectMetrics,
+				StepLimit: *steps, CollectMetrics: collectMetrics,
 			},
 			Seeds: *seeds, SeedBase: *seedBase,
 			Workers: *workers, SeedTimeout: *seedTimeout, Progress: progress,
@@ -161,8 +158,8 @@ func main() {
 			len(stats.Distinct), stats.Duplicates, stats.CSESeeds)
 		for _, f := range stats.Distinct {
 			extra := ""
-			if f.FixedBy != "" {
-				extra = " fixed-by=" + f.FixedBy
+			if f.Blame != nil && f.Blame.FixedBy != "" {
+				extra = " fixed-by=" + f.Blame.FixedBy
 			}
 			fmt.Printf("  [%s] %-36s x%d seed=%d detail=%q%s\n", f.Kind, f.Component, f.Count, f.SeedID, f.Detail, extra)
 		}

@@ -18,8 +18,10 @@
 // candidate order, so the output is that of a one-at-a-time reduction.
 //
 // With -blame, the reduced reproducer is additionally fault-localized
-// (internal/blame): the guilty optimization passes and the minimal
-// forced-compilation method set are reported on stderr.
+// (internal/blame) under the campaign's symptom, pinned to the reduced
+// program's own signature: the guilty optimization passes, the minimal
+// forced-compilation method set and the seeded defect whose removal
+// fixes it are reported on stderr.
 //
 // Usage:
 //
@@ -41,7 +43,6 @@ import (
 	"artemis/internal/lang/parser"
 	"artemis/internal/profiles"
 	"artemis/internal/reduce"
-	"artemis/internal/vm"
 )
 
 func main() {
@@ -103,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer, workers int) int {
 	}
 	fmt.Fprintf(stderr, "mjreduce: %d -> %d statements\n", before, ast.ProgramSize(small))
 	if *blameOn {
-		localize(stderr, small, prof, *mode, *steps)
+		localize(stderr, kc, small, *mode)
 	}
 	fmt.Fprint(stdout, ast.Print(small))
 	return 0
@@ -111,28 +112,22 @@ func run(args []string, stdout, stderr io.Writer, workers int) int {
 
 // localize fault-localizes the reduced reproducer and reports the
 // result on stderr (stdout stays the reduced program only).
-func localize(stderr io.Writer, prog *ast.Program, prof *profiles.Profile, mode string, steps int64) {
-	var symptom blame.Symptom
-	if mode == "crash" {
-		symptom = func(out *vm.Output) bool { return out.Term == vm.TermCrash }
-	} else {
-		intCfg := prof.InterpreterConfig()
-		intCfg.StepLimit = steps
-		ref := vm.Run(intCfg, harness.Compile(prog)).Output
-		if ref.Term == vm.TermTimeout {
-			fmt.Fprintln(stderr, "mjreduce: blame skipped (interpreted reference times out)")
-			return
-		}
-		symptom = func(out *vm.Output) bool {
-			return out.Term != vm.TermTimeout && !out.Equivalent(ref)
-		}
+func localize(stderr io.Writer, kc harness.KeepConfig, prog *ast.Program, mode string) {
+	res, err := kc.Blame(prog, mode)
+	if err != nil {
+		fmt.Fprintf(stderr, "mjreduce: blame skipped (%v)\n", err)
+		return
 	}
-	res := blame.Localize(prog, symptom, blame.Config{Profile: prof, Bugs: prof.BugSet(), StepLimit: steps})
 	fmt.Fprintf(stderr, "mjreduce: blame: passes %s (%d probe runs)\n", res.PassLabel(), res.Runs)
 	if res.SpaceVerdict == blame.VerdictMinimal {
 		fmt.Fprintf(stderr, "mjreduce: blame: minimal forced-compilation set {%s}\n", strings.Join(res.MinimalMethods, ","))
 	} else {
 		fmt.Fprintf(stderr, "mjreduce: blame: space %s\n", res.SpaceVerdict)
+	}
+	if res.DefectVerdict == blame.VerdictLocalized {
+		fmt.Fprintf(stderr, "mjreduce: blame: fixed by removing %s\n", res.FixedBy)
+	} else {
+		fmt.Fprintf(stderr, "mjreduce: blame: defect %s\n", res.DefectVerdict)
 	}
 	if res.IRInvariant != "" {
 		fmt.Fprintf(stderr, "mjreduce: blame: IR invariant broken: %s\n", res.IRInvariant)

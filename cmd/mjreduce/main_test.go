@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"artemis/internal/harness"
@@ -63,6 +65,35 @@ func TestOutputMatchesSequentialReduction(t *testing.T) {
 		}
 		if stdout.String() != ast.Print(want) {
 			t.Errorf("workers=%d: mjreduce printed\n%s\nwant\n%s", workers, stdout.String(), ast.Print(want))
+		}
+	}
+}
+
+// TestBlameReport: -blame localizes the reduced program under the
+// campaign's symptom, pinned to its own signature, and reports all
+// three dimensions on stderr without touching stdout.
+func TestBlameReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gcm.mj")
+	if err := os.WriteFile(path, []byte(gcmReproducer), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var plain, stdout, stderr bytes.Buffer
+	if code := run([]string{path}, &plain, io.Discard, 2); code != 0 {
+		t.Fatalf("exit %d without -blame", code)
+	}
+	if code := run([]string{"-blame", path}, &stdout, &stderr, 2); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	if stdout.String() != plain.String() {
+		t.Errorf("-blame changed stdout:\n%s\nwant\n%s", stdout.String(), plain.String())
+	}
+	for _, want := range []string{
+		"mjreduce: blame: passes gcm ",
+		"mjreduce: blame: minimal forced-compilation set {g}",
+		"mjreduce: blame: fixed by removing hs-gcm-store-sink",
+	} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
 		}
 	}
 }

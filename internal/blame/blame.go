@@ -1,12 +1,14 @@
 // Package blame automates the paper's manual triage step (§4.2): given
 // a reproducer program and a symptom predicate, it localizes a finding
 // to (a) the minimal set of optimizing-tier passes whose disabling
-// makes the symptom disappear, and (b) a minimal compilation-space
-// point — the smallest forced-compilation method set that still
-// triggers the divergence (delta debugging over
-// vm.ForcedPolicy.Methods). An extra probe runs the compiler with SSA
-// invariant validation on, so a "pass mis-compiled" report can be told
-// apart from "pass broke the IR and a later stage mis-lowered it".
+// makes the symptom disappear, (b) a minimal compilation-space point —
+// the smallest forced-compilation method set that still triggers the
+// divergence (delta debugging over vm.ForcedPolicy.Methods), and (c)
+// the seeded defect whose removal alone makes the symptom disappear
+// (the analogue of the developers' fix landing, Table 1's "fixed"
+// row). An extra probe runs the compiler with SSA invariant validation
+// on, so a "pass mis-compiled" report can be told apart from "pass
+// broke the IR and a later stage mis-lowered it".
 //
 // Everything here is a pure function of (program, symptom, config):
 // probes run fresh single-use VMs, consume a deterministic run budget,
@@ -28,8 +30,9 @@ import (
 )
 
 // DefaultBudget caps probe VM runs per localization when
-// Config.Budget is 0. Pass bisection needs at most 2+len(jit.PassNames)
-// runs and the space shrink 1+len(methods); the cap exists so a
+// Config.Budget is 0. The default-policy probe and pass bisection need
+// at most 3+len(jit.PassNames) runs, the space shrink 1+len(methods)
+// and defect isolation len(Config.Bugs); the cap exists so a
 // pathological reproducer (many methods, slow runs) cannot stall a
 // campaign's reducer goroutine indefinitely.
 const DefaultBudget = 96
@@ -82,6 +85,15 @@ const (
 	VerdictNotInForcedSpace = "not-in-forced-space"
 )
 
+// Defect-isolation verdicts: VerdictLocalized (FixedBy names the
+// defect), VerdictNotReproduced, VerdictBudget, and:
+const (
+	// VerdictNoSingleDefect: the symptom survives the removal of each
+	// seeded defect on its own — it needs two defects at once, or none
+	// of them causes it.
+	VerdictNoSingleDefect = "no-single-defect"
+)
+
 // Result is one finding's localization, serialized as blame.json in
 // corpus entries.
 type Result struct {
@@ -102,6 +114,12 @@ type Result struct {
 	// corrupts the IR itself rather than emitting wrong-but-valid code.
 	IRInvariant string `json:"ir_invariant,omitempty"`
 
+	// FixedBy is the first seeded defect, in sorted ID order, whose
+	// removal alone from Config.Bugs makes the symptom disappear; ""
+	// unless DefectVerdict is VerdictLocalized.
+	FixedBy       string `json:"fixed_by,omitempty"`
+	DefectVerdict string `json:"defect_verdict"`
+
 	// Runs is the number of probe VM runs spent.
 	Runs int `json:"runs"`
 }
@@ -118,6 +136,14 @@ func (r *Result) PassLabel() string {
 	return "(" + r.PassVerdict + ")"
 }
 
+// Reproduced reports whether the base probe — the reproducer on its
+// own, default policy, every configured defect on — triggered the
+// symptom. The base probe always fits the budget, so every defect
+// verdict but not-reproduced implies that it did.
+func (r *Result) Reproduced() bool {
+	return r != nil && r.DefectVerdict != "" && r.DefectVerdict != VerdictNotReproduced
+}
+
 // engine carries one localization's shared state.
 type engine struct {
 	cfg     Config
@@ -128,8 +154,10 @@ type engine struct {
 }
 
 // Localize bisects prog's finding, spending at most cfg.Budget probe
-// runs. It never mutates shared state and is safe to call from any
-// single goroutine (probes build fresh VMs).
+// runs. The default-policy probe runs first; pass bisection, the space
+// shrink and defect isolation follow, in that order. It never mutates
+// shared state and is safe to call from any single goroutine (probes
+// build fresh VMs).
 func Localize(prog *ast.Program, symptom Symptom, cfg Config) *Result {
 	budget := cfg.Budget
 	if budget <= 0 {
@@ -142,21 +170,24 @@ func Localize(prog *ast.Program, symptom Symptom, cfg Config) *Result {
 		budget:  budget,
 	}
 	res := &Result{}
-	e.bisectPasses(res)
+	// The budget is at least 1, so the base probe always runs.
+	base := e.run(cfg.Bugs, nil, nil, false)
+	e.bisectPasses(res, base)
 	e.shrinkSpace(res)
+	e.isolateDefect(res, base)
 	res.Runs = e.runs
 	return res
 }
 
-// run executes one probe: the profile VM with the configured defect
-// set, optionally with passes disabled, IR validation, or a policy
+// run executes one probe: the profile VM with the given defect set,
+// optionally with passes disabled, IR validation, or a policy
 // override. Returns nil once the budget is exhausted.
-func (e *engine) run(disable []string, policy vm.Policy, validateIR bool) *vm.Output {
+func (e *engine) run(set bugs.Set, disable []string, policy vm.Policy, validateIR bool) *vm.Output {
 	if e.runs >= e.budget {
 		return nil
 	}
 	e.runs++
-	cfg := e.cfg.Profile.VMConfigWithBugs(e.cfg.Bugs)
+	cfg := e.cfg.Profile.VMConfigWithBugs(set)
 	cfg.StepLimit = e.cfg.StepLimit
 	cfg.DisablePasses = disable
 	cfg.ValidateIR = validateIR
@@ -166,20 +197,15 @@ func (e *engine) run(disable []string, policy vm.Policy, validateIR bool) *vm.Ou
 	return vm.Run(cfg, e.bp).Output
 }
 
-// bisectPasses finds the minimal guilty pass set: verify the symptom
-// reproduces, check it disappears with the whole pipeline off, then
-// greedily re-enable passes one at a time (canonical order), keeping a
-// pass out of the guilty set whenever re-enabling it leaves the
-// symptom gone. The result is 1-minimal: removing any single guilty
-// pass from the disable set brings the symptom back.
-func (e *engine) bisectPasses(res *Result) {
+// bisectPasses finds the minimal guilty pass set: given that the base
+// probe reproduces the symptom, check it disappears with the whole
+// pipeline off, then greedily re-enable passes one at a time (canonical
+// order), keeping a pass out of the guilty set whenever re-enabling it
+// leaves the symptom gone. The result is 1-minimal: removing any single
+// guilty pass from the disable set brings the symptom back.
+func (e *engine) bisectPasses(res *Result, base *vm.Output) {
 	if e.cfg.Profile.MaxTier < 2 {
 		res.PassVerdict = VerdictNoOptTier
-		return
-	}
-	base := e.run(nil, nil, false)
-	if base == nil {
-		res.PassVerdict = VerdictBudget
 		return
 	}
 	if !e.symptom(base) {
@@ -189,12 +215,12 @@ func (e *engine) bisectPasses(res *Result) {
 
 	// One probe with SSA invariant validation: does some pass break
 	// the IR itself on this reproducer?
-	if v := e.run(nil, nil, true); v != nil && v.Term == vm.TermCrash &&
+	if v := e.run(e.cfg.Bugs, nil, nil, true); v != nil && v.Term == vm.TermCrash &&
 		strings.Contains(v.Detail, "assertion failure in IR Validator") {
 		res.IRInvariant = v.Detail
 	}
 
-	allOff := e.run(jit.PassNames, nil, false)
+	allOff := e.run(e.cfg.Bugs, jit.PassNames, nil, false)
 	if allOff == nil {
 		res.PassVerdict = VerdictBudget
 		return
@@ -210,7 +236,7 @@ func (e *engine) bisectPasses(res *Result) {
 		if len(trial) == len(guilty) {
 			continue // already dropped
 		}
-		out := e.run(trial, nil, false)
+		out := e.run(e.cfg.Bugs, trial, nil, false)
 		if out == nil {
 			res.PassVerdict = VerdictBudget
 			return
@@ -254,7 +280,7 @@ func (e *engine) shrinkSpace(res *Result) {
 	for _, m := range methods {
 		compiled[m] = true
 	}
-	out := e.run(nil, forced(compiled), false)
+	out := e.run(e.cfg.Bugs, nil, forced(compiled), false)
 	if out == nil {
 		res.SpaceVerdict = VerdictBudget
 		return
@@ -265,7 +291,7 @@ func (e *engine) shrinkSpace(res *Result) {
 	}
 	for _, m := range methods {
 		compiled[m] = false
-		out := e.run(nil, forced(compiled), false)
+		out := e.run(e.cfg.Bugs, nil, forced(compiled), false)
 		if out == nil {
 			res.SpaceVerdict = VerdictBudget
 			return
@@ -280,6 +306,40 @@ func (e *engine) shrinkSpace(res *Result) {
 		}
 	}
 	res.SpaceVerdict = VerdictMinimal
+}
+
+// isolateDefect names the seeded defect behind the finding: given that
+// the base probe reproduces the symptom, remove one defect at a time
+// from Config.Bugs, in sorted ID order, and report the first whose
+// removal alone makes the symptom disappear. Single removal rather than
+// a greedy 1-minimal set: the greedy set's probes run with most
+// defects off, and those tend to run to the step limit. A symptom that
+// needs two defects at once is reported as VerdictNoSingleDefect.
+func (e *engine) isolateDefect(res *Result, base *vm.Output) {
+	if !e.symptom(base) {
+		res.DefectVerdict = VerdictNotReproduced
+		return
+	}
+	ids := make([]string, 0, len(e.cfg.Bugs))
+	for id, on := range e.cfg.Bugs {
+		if on {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		out := e.run(bugs.NewSet(without(ids, id)...), nil, nil, false)
+		if out == nil {
+			res.DefectVerdict = VerdictBudget
+			return
+		}
+		if !e.symptom(out) {
+			res.FixedBy = id
+			res.DefectVerdict = VerdictLocalized
+			return
+		}
+	}
+	res.DefectVerdict = VerdictNoSingleDefect
 }
 
 // without returns s minus one occurrence of x (s unchanged when x is

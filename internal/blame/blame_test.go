@@ -63,12 +63,13 @@ const gcmSrc = `class T {
 	}
 }`
 
+// TestBlameGCMStoreSink: with every hotspotlike defect on, the flagship
+// reproducer localizes to gcm, to method g, and to the one defect whose
+// removal fixes it.
 func TestBlameGCMStoreSink(t *testing.T) {
+	prof := mustGet(t, "hotspotlike")
 	prog := parse(t, gcmSrc)
-	res := Localize(prog, divergesFrom(t, prog), Config{
-		Profile: mustGet(t, "hotspotlike"),
-		Bugs:    bugs.NewSet("hs-gcm-store-sink"),
-	})
+	res := Localize(prog, divergesFrom(t, prog), Config{Profile: prof, Bugs: prof.BugSet()})
 	if res.PassVerdict != VerdictLocalized {
 		t.Fatalf("pass verdict %q, want localized (runs %d)", res.PassVerdict, res.Runs)
 	}
@@ -83,6 +84,9 @@ func TestBlameGCMStoreSink(t *testing.T) {
 	}
 	if res.IRInvariant != "" {
 		t.Errorf("store sink preserves IR invariants, got %q", res.IRInvariant)
+	}
+	if res.DefectVerdict != VerdictLocalized || res.FixedBy != "hs-gcm-store-sink" || !res.Reproduced() {
+		t.Errorf("defect verdict %q fixed by %q, want localized hs-gcm-store-sink", res.DefectVerdict, res.FixedBy)
 	}
 }
 
@@ -149,16 +153,21 @@ func TestBlameCodegenOutsidePipeline(t *testing.T) {
 
 func TestBlameNoOptimizingTier(t *testing.T) {
 	// artlike has MaxTier 1: no optimizing pipeline exists to bisect,
-	// but the space shrink still works against the tier-1 JIT.
+	// but the space shrink still works against the tier-1 JIT, and so
+	// does defect isolation: the default-policy probe runs for every
+	// profile, and f is called past the tier-1 entry threshold, so the
+	// ushr defect shows under the default policy.
 	src := `class T {
 		int f(int x, int c) { return x >>> c; }
-		void main() { print(f(0 - 8, 1)); }
+		void main() {
+			int s = 0;
+			for (int i = 0; i < 3000; i++) { s += f(0 - 8, i & 3); }
+			print(s);
+		}
 	}`
+	prof := mustGet(t, "artlike")
 	prog := parse(t, src)
-	res := Localize(prog, divergesFrom(t, prog), Config{
-		Profile: mustGet(t, "artlike"),
-		Bugs:    bugs.NewSet("art-t1-ushr-int"),
-	})
+	res := Localize(prog, divergesFrom(t, prog), Config{Profile: prof, Bugs: prof.BugSet()})
 	if res.PassVerdict != VerdictNoOptTier {
 		t.Fatalf("pass verdict %q, want no-optimizing-tier", res.PassVerdict)
 	}
@@ -167,6 +176,9 @@ func TestBlameNoOptimizingTier(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.MinimalMethods, []string{"f"}) {
 		t.Errorf("minimal methods %v, want [f]", res.MinimalMethods)
+	}
+	if res.DefectVerdict != VerdictLocalized || res.FixedBy != "art-t1-ushr-int" {
+		t.Errorf("defect verdict %q fixed by %q, want localized art-t1-ushr-int", res.DefectVerdict, res.FixedBy)
 	}
 }
 
@@ -184,6 +196,9 @@ func TestBlameNotReproduced(t *testing.T) {
 	if res.SpaceVerdict != VerdictNotInForcedSpace {
 		t.Fatalf("space verdict %q, want not-in-forced-space", res.SpaceVerdict)
 	}
+	if res.DefectVerdict != VerdictNotReproduced || res.FixedBy != "" || res.Reproduced() {
+		t.Fatalf("defect verdict %q fixed by %q, want not-reproduced", res.DefectVerdict, res.FixedBy)
+	}
 }
 
 func TestBlameBudgetExhausted(t *testing.T) {
@@ -193,8 +208,8 @@ func TestBlameBudgetExhausted(t *testing.T) {
 		Bugs:    bugs.NewSet("hs-gcm-store-sink"),
 		Budget:  1,
 	})
-	if res.PassVerdict != VerdictBudget || res.SpaceVerdict != VerdictBudget {
-		t.Fatalf("verdicts %q/%q, want budget-exhausted/budget-exhausted", res.PassVerdict, res.SpaceVerdict)
+	if res.PassVerdict != VerdictBudget || res.SpaceVerdict != VerdictBudget || res.DefectVerdict != VerdictBudget {
+		t.Fatalf("verdicts %q/%q/%q, want budget-exhausted for all three", res.PassVerdict, res.SpaceVerdict, res.DefectVerdict)
 	}
 	if res.Runs != 1 {
 		t.Errorf("runs %d, want exactly the budget (1)", res.Runs)

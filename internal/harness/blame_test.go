@@ -18,9 +18,10 @@ func blameKey(s *CampaignStats) string {
 			fmt.Fprintf(&b, "d[%d] sig=%q blame=nil\n", i, f.Signature)
 			continue
 		}
-		fmt.Fprintf(&b, "d[%d] sig=%q passes=%v pv=%s methods=%v sv=%s ir=%q runs=%d\n",
+		fmt.Fprintf(&b, "d[%d] sig=%q passes=%v pv=%s methods=%v sv=%s ir=%q fixed=%q dv=%s runs=%d\n",
 			i, f.Signature, f.Blame.GuiltyPasses, f.Blame.PassVerdict,
-			f.Blame.MinimalMethods, f.Blame.SpaceVerdict, f.Blame.IRInvariant, f.Blame.Runs)
+			f.Blame.MinimalMethods, f.Blame.SpaceVerdict, f.Blame.IRInvariant,
+			f.Blame.FixedBy, f.Blame.DefectVerdict, f.Blame.Runs)
 	}
 	b.WriteString(FormatBlameTable([]*CampaignStats{s}))
 	return b.String()
@@ -97,33 +98,34 @@ func TestCampaignBlameDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCampaignBlameAgreesWithInjectedTags: for every finding the
-// campaign can both attribute to a seeded defect (ConfirmAndFix
-// bisection over bug sets) and localize behaviorally (pass bisection
-// over the reproducer), the two must agree — the guilty pass set must
-// be exactly the pass the injected defect lives in, and defects
-// outside the pass pipeline must be called out as such. This is the
-// end-to-end check that the behavior-derived Table 2 measures the same
-// thing as the tag-derived one.
+// TestCampaignBlameAgreesWithInjectedTags: for every finding blame
+// both attributes to a seeded defect (defect isolation over bug sets)
+// and localizes to passes (pass bisection over the reproducer), the
+// two must agree — the guilty pass set must be exactly the pass the
+// injected defect lives in, and defects outside the pass pipeline must
+// be called out as such. This is the end-to-end check that the
+// behavior-derived Table 2 measures the same thing as the tag-derived
+// one.
 func TestCampaignBlameAgreesWithInjectedTags(t *testing.T) {
 	if testing.Short() {
-		t.Skip("confirm+blame campaign is slow")
+		t.Skip("blame campaign is slow")
 	}
 	checked := 0
 	for _, name := range []string{"hotspotlike", "openj9like"} {
 		prof := profile(t, name)
 		stats := RunCampaign(CampaignOptions{
-			Options: Options{Profile: prof, MaxIter: 5, Buggy: true, ConfirmAndFix: true},
+			Options: Options{Profile: prof, MaxIter: 5, Buggy: true},
 			Seeds:   20,
 			Blame:   true,
 		})
 		for _, f := range stats.Distinct {
-			if f.Blame == nil || f.FixedBy == "" {
+			if f.Blame == nil || f.Blame.FixedBy == "" {
 				continue
 			}
-			wantPass, known := passForBug[f.FixedBy]
+			fixedBy := f.Blame.FixedBy
+			wantPass, known := passForBug[fixedBy]
 			if !known {
-				t.Errorf("%s: bug %s missing from the ground-truth table", name, f.FixedBy)
+				t.Errorf("%s: bug %s missing from the ground-truth table", name, fixedBy)
 				continue
 			}
 			switch f.Blame.PassVerdict {
@@ -131,27 +133,55 @@ func TestCampaignBlameAgreesWithInjectedTags(t *testing.T) {
 				checked++
 				if wantPass == "" {
 					t.Errorf("%s: %s (fixed-by=%s) localized to %v, but the defect lives outside the pass pipeline",
-						name, f.Signature, f.FixedBy, f.Blame.GuiltyPasses)
+						name, f.Signature, fixedBy, f.Blame.GuiltyPasses)
 				} else if len(f.Blame.GuiltyPasses) != 1 || f.Blame.GuiltyPasses[0] != wantPass {
 					t.Errorf("%s: %s (fixed-by=%s) blamed %v, want [%s]",
-						name, f.Signature, f.FixedBy, f.Blame.GuiltyPasses, wantPass)
+						name, f.Signature, fixedBy, f.Blame.GuiltyPasses, wantPass)
 				}
 			case blame.VerdictOutsidePipeline:
 				checked++
 				if wantPass != "" {
 					t.Errorf("%s: %s (fixed-by=%s) reported outside the pass pipeline, but the defect lives in %s",
-						name, f.Signature, f.FixedBy, wantPass)
+						name, f.Signature, fixedBy, wantPass)
 				}
 			default:
 				// not-reproduced / budget-exhausted carry no pass claim
 				// to cross-check; log them so a systematic reproduction
 				// failure is visible in -v output.
 				t.Logf("%s: %s (fixed-by=%s) verdict %s — no tag cross-check",
-					name, f.Signature, f.FixedBy, f.Blame.PassVerdict)
+					name, f.Signature, fixedBy, f.Blame.PassVerdict)
 			}
 		}
 	}
 	if checked == 0 {
 		t.Error("no finding was both attributed and localized; agreement check is vacuous")
+	}
+}
+
+// TestCampaignBlameIsolatesEscapeAnalysisDefect: seed 0 of a
+// hotspotlike campaign at a 16M-step budget crashes in Escape
+// Analysis. Removing hs-ea-phi alone makes that signature go away —
+// the mutant then crashes in hs-exec-guard-stack's trap stub instead —
+// so defect isolation, which pins the symptom to the signature rather
+// than to "any crash", must name hs-ea-phi.
+func TestCampaignBlameIsolatesEscapeAnalysisDefect(t *testing.T) {
+	stats := RunCampaign(CampaignOptions{
+		Options: Options{Profile: profile(t, "hotspotlike"), Buggy: true, StepLimit: 16_000_000},
+		Seeds:   1,
+		Workers: 1,
+		Blame:   true,
+	})
+	found := false
+	for _, f := range stats.Distinct {
+		if f.Component != "Escape Analysis, C2" {
+			continue
+		}
+		found = true
+		if f.Blame == nil || f.Blame.FixedBy != "hs-ea-phi" || f.Blame.DefectVerdict != blame.VerdictLocalized {
+			t.Errorf("%s: blame %+v, want fixed by hs-ea-phi", f.Signature, f.Blame)
+		}
+	}
+	if !found {
+		t.Fatal("seed 0 no longer crashes in Escape Analysis; the check is vacuous")
 	}
 }

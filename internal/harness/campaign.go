@@ -174,23 +174,27 @@ func (cs *CampaignStats) BlameByPass() map[string]int {
 	return m
 }
 
-// Confirmed counts distinct findings that reproduced.
+// Confirmed counts distinct findings whose reported reproducer
+// re-triggers its signature on its own (blame's base probe; the
+// analogue of developers reproducing the report). Zero unless the
+// campaign ran with Blame.
 func (cs *CampaignStats) Confirmed() int {
 	n := 0
 	for _, f := range cs.Distinct {
-		if f.Confirmed {
+		if f.Blame.Reproduced() {
 			n++
 		}
 	}
 	return n
 }
 
-// Fixed counts distinct findings attributed to (and removable by) a
-// single catalog defect.
+// Fixed counts distinct findings whose signature goes away when blame
+// removes one seeded defect (the analogue of a bug fix landing). Zero
+// unless the campaign ran with Blame.
 func (cs *CampaignStats) Fixed() int {
 	n := 0
 	for _, f := range cs.Distinct {
-		if f.FixedBy != "" {
+		if f.Blame != nil && f.Blame.FixedBy != "" {
 			n++
 		}
 	}

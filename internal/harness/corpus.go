@@ -10,9 +10,10 @@
 //	                               signature (see keep.go)
 //	<corpus>/<entry>/finding.json  the finding detail + reduction report
 //	<corpus>/<entry>/blame.json    automatic fault localization (guilty
-//	                               pass set + minimal compilation-space
-//	                               point), present when the campaign ran
-//	                               with Blame enabled
+//	                               pass set, minimal compilation-space
+//	                               point, seeded defect that fixes it),
+//	                               present when the campaign ran with
+//	                               Blame enabled
 //
 // finding.json is written last, so its presence marks a complete
 // entry; a campaign killed mid-entry simply rewrites the entry on
@@ -65,12 +66,8 @@ func newCorpusWriter(opts CampaignOptions, workers int) (*corpusWriter, error) {
 		budget = DefaultReduceBudget
 	}
 	return &corpusWriter{
-		dir: opts.CorpusDir,
-		kc: KeepConfig{
-			Profile:   opts.Options.Profile,
-			Bugs:      opts.Options.bugSet(),
-			StepLimit: opts.Options.StepLimit,
-		},
+		dir:     opts.CorpusDir,
+		kc:      opts.Options.keepConfig(),
 		budget:  budget,
 		workers: workers,
 	}, nil

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"artemis/internal/blame"
 	"artemis/internal/lang/parser"
 	"artemis/internal/profiles"
 	"artemis/internal/vm"
@@ -90,28 +91,39 @@ func TestInterpreterNeverAffected(t *testing.T) {
 	}
 }
 
-// TestConfirmAndFix: findings must reproduce and be attributable to a
-// single seeded defect.
-func TestConfirmAndFix(t *testing.T) {
+// TestBlameConfirmsAndFixes: with Blame, findings must reproduce from
+// their reported reproducer and be attributable to a single seeded
+// defect of the campaign's profile (Table 1's confirmed and fixed rows).
+func TestBlameConfirmsAndFixes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	prof := profile(t, "hotspotlike")
 	stats := RunCampaign(CampaignOptions{
-		Options: Options{Profile: prof, MaxIter: 5, Buggy: true, ConfirmAndFix: true},
+		Options: Options{Profile: prof, MaxIter: 5, Buggy: true},
 		Seeds:   20,
+		Blame:   true,
 	})
 	if len(stats.Distinct) == 0 {
 		t.Skip("no findings in this window")
 	}
 	if stats.Confirmed() == 0 {
-		t.Error("no finding reproduced; the VM should be deterministic")
+		t.Error("no finding reproduced from its reproducer")
 	}
 	if stats.Fixed() == 0 {
 		t.Error("no finding could be attributed to a seeded defect")
 	}
+	if stats.Fixed() > stats.Confirmed() {
+		t.Errorf("%d findings fixed but only %d confirmed", stats.Fixed(), stats.Confirmed())
+	}
 	for _, f := range stats.Distinct {
-		t.Logf("[%s] %s fixed-by=%s confirmed=%v", f.Kind, f.Component, f.FixedBy, f.Confirmed)
+		if f.Blame == nil {
+			continue
+		}
+		if f.Blame.FixedBy != "" && !prof.BugSet().Has(f.Blame.FixedBy) {
+			t.Errorf("%s: fixed by %s, which is not a %s defect", f.Signature, f.Blame.FixedBy, prof.Name)
+		}
+		t.Logf("[%s] %s fixed-by=%s defect=%s", f.Kind, f.Component, f.Blame.FixedBy, f.Blame.DefectVerdict)
 	}
 }
 
@@ -153,12 +165,17 @@ func TestTableFormatting(t *testing.T) {
 	stats := &CampaignStats{Profile: prof.Name, Seeds: 10, Mutants: 80, Runs: 90,
 		CSESeeds: 3, TradSeeds: 1, BothSeeds: 1}
 	stats.Distinct = []DedupFinding{
-		{Finding: Finding{Kind: CrashFinding, Component: "Global Value Numbering, C2", Confirmed: true, FixedBy: "hs-gvn-table"}, Count: 2},
-		{Finding: Finding{Kind: Miscompilation, Detail: "normal-vs-normal"}, Count: 1},
+		{Finding: Finding{Kind: CrashFinding, Component: "Global Value Numbering, C2"}, Count: 2,
+			Blame: &blame.Result{FixedBy: "hs-gvn-table", DefectVerdict: blame.VerdictLocalized}},
+		{Finding: Finding{Kind: Miscompilation, Detail: "normal-vs-normal"}, Count: 1,
+			Blame: &blame.Result{DefectVerdict: blame.VerdictNotReproduced}},
+		{Finding: Finding{Kind: Miscompilation, Detail: "normal-vs-exception"}, Count: 1},
 	}
 	t1 := FormatTable1([]*CampaignStats{stats})
-	if !strings.Contains(t1, "Reported (distinct)") || !strings.Contains(t1, "2") {
-		t.Errorf("table 1 malformed:\n%s", t1)
+	for _, row := range []string{"Reported (distinct) 3 3", "Confirmed (reproduced) 1 1", "Fixed (defect isolated) 1 1"} {
+		if !strings.Contains(strings.Join(strings.Fields(t1), " "), row) {
+			t.Errorf("table 1 lacks row %q:\n%s", row, t1)
+		}
 	}
 	t2 := FormatTable2([]*CampaignStats{stats})
 	if !strings.Contains(t2, "Global Value Numbering") {

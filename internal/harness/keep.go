@@ -3,7 +3,8 @@
 // candidate; this file is the single place such predicates are built,
 // shared by cmd/mjreduce (interactive reduction) and the campaign
 // auto-reducer (corpus.go), so the two can never drift apart on what
-// "still triggers the bug" means.
+// "still triggers the bug" means. Fault localization (blame.go) pins
+// its probes to the same signatures.
 //
 // Every predicate is built as a reduce.Test: each evaluation runs
 // fresh VMs, so it is safe for concurrent use, and it passes the
@@ -73,8 +74,9 @@ func (kc KeepConfig) runBoth(p *ast.Program, stop *atomic.Bool) (jit, interp *vm
 
 // crashSignature returns the dedup signature of a run that crashed
 // the VM, or "" when it did not crash. It and divergenceSignature are
-// the one definition of "still triggers the finding" that confirmation,
-// reduction and fault localization (blame.go) share.
+// the one definition of "still triggers the finding" that reduction
+// and fault localization (blame.go: confirmation, pass and space
+// localization, defect isolation) share.
 func crashSignature(profile string, out *vm.Output) string {
 	if out.Term != vm.TermCrash {
 		return ""
@@ -92,25 +94,26 @@ func divergenceSignature(profile string, ref, out *vm.Output) string {
 	return signatureOf(Miscompilation, profile, "", fmt.Sprintf("%s-vs-%s", ref.Term, out.Term))
 }
 
-// crashes keeps programs that crash the seeded-defect VM with a crash
-// signature that match accepts.
-func (kc KeepConfig) crashes(match func(sig string) bool) reduce.Test {
-	return func(p *ast.Program, stop *atomic.Bool) bool {
-		sig := crashSignature(kc.Profile.Name, kc.runJIT(p, stop))
-		return sig != "" && match(sig)
+// signature runs p and returns the signature of the kind of finding
+// it triggers, or "" when it triggers none: a crash of the
+// seeded-defect VM, or (Miscompilation) a divergence of its output
+// from the interpreted reference. The interpreted run stands in for
+// the original seed reference: JoNM mutants are semantics-preserving,
+// so for a genuine mis-compilation the two references agree.
+func (kc KeepConfig) signature(kind FindingKind, p *ast.Program, stop *atomic.Bool) string {
+	if kind == CrashFinding {
+		return crashSignature(kc.Profile.Name, kc.runJIT(p, stop))
 	}
+	jit, interp := kc.runBoth(p, stop)
+	return divergenceSignature(kc.Profile.Name, interp, jit)
 }
 
-// diverges keeps programs whose seeded-defect output differs from the
-// interpreted reference with a mis-compilation signature that match
-// accepts. Inconclusive runs are never kept. The interpreted run
-// stands in for the original seed reference: JoNM mutants are
-// semantics-preserving, so for a genuine mis-compilation the two
-// references agree.
-func (kc KeepConfig) diverges(match func(sig string) bool) reduce.Test {
+// keep keeps programs that trigger a finding of kind (CrashFinding or
+// Miscompilation) with a signature that match accepts. Inconclusive
+// runs are never kept.
+func (kc KeepConfig) keep(kind FindingKind, match func(sig string) bool) reduce.Test {
 	return func(p *ast.Program, stop *atomic.Bool) bool {
-		jit, interp := kc.runBoth(p, stop)
-		sig := divergenceSignature(kc.Profile.Name, interp, jit)
+		sig := kc.signature(kind, p, stop)
 		return sig != "" && match(sig)
 	}
 }
@@ -122,24 +125,26 @@ func signatureIs(want string) func(string) bool {
 }
 
 // Crash keeps programs that crash the seeded-defect VM (any crash).
-func (kc KeepConfig) Crash() reduce.Predicate { return kc.crashes(anySignature).Predicate() }
+func (kc KeepConfig) Crash() reduce.Predicate { return kc.keep(CrashFinding, anySignature).Predicate() }
 
 // Diff keeps programs whose seeded-defect output differs from the
 // interpreted reference (timeouts are inconclusive and never kept).
-func (kc KeepConfig) Diff() reduce.Predicate { return kc.diverges(anySignature).Predicate() }
+func (kc KeepConfig) Diff() reduce.Predicate {
+	return kc.keep(Miscompilation, anySignature).Predicate()
+}
 
 // CrashSignature keeps programs that crash with exactly the given
 // dedup signature — the predicate the campaign auto-reducer uses so a
 // reduced reproducer provably still triggers the same finding.
 func (kc KeepConfig) CrashSignature(sig string) reduce.Predicate {
-	return kc.crashes(signatureIs(sig)).Predicate()
+	return kc.keep(CrashFinding, signatureIs(sig)).Predicate()
 }
 
 // MiscompileSignature keeps programs whose seeded-defect run diverges
 // from interpretation with exactly the given mis-compilation
 // signature.
 func (kc KeepConfig) MiscompileSignature(sig string) reduce.Predicate {
-	return kc.diverges(signatureIs(sig)).Predicate()
+	return kc.keep(Miscompilation, signatureIs(sig)).Predicate()
 }
 
 // ForMode maps a cmd/mjreduce -mode value to its predicate.
@@ -153,13 +158,23 @@ func (kc KeepConfig) ForMode(mode string) (reduce.Predicate, error) {
 
 // TestForMode is ForMode as a reduce.Test, for reduce.ReduceParallel.
 func (kc KeepConfig) TestForMode(mode string) (reduce.Test, error) {
+	kind, err := kindForMode(mode)
+	if err != nil {
+		return nil, err
+	}
+	return kc.keep(kind, anySignature), nil
+}
+
+// kindForMode maps a cmd/mjreduce -mode value to the finding kind its
+// predicate keeps.
+func kindForMode(mode string) (FindingKind, error) {
 	switch mode {
 	case "crash":
-		return kc.crashes(anySignature), nil
+		return CrashFinding, nil
 	case "diff":
-		return kc.diverges(anySignature), nil
+		return Miscompilation, nil
 	default:
-		return nil, fmt.Errorf("unknown mode %q (want diff or crash)", mode)
+		return 0, fmt.Errorf("unknown mode %q (want diff or crash)", mode)
 	}
 }
 
@@ -168,12 +183,14 @@ func (kc KeepConfig) TestForMode(mode string) (reduce.Test, error) {
 // re-validation predicate (performance findings need timeout-priced
 // runs per candidate, far too slow for an in-campaign stage).
 func keepForFinding(kc KeepConfig, f Finding) reduce.Test {
-	switch f.Kind {
-	case CrashFinding:
-		return kc.crashes(signatureIs(f.Signature))
-	case Miscompilation:
-		return kc.diverges(signatureIs(f.Signature))
-	default:
+	if f.Kind == Performance {
 		return nil
 	}
+	return kc.keep(f.Kind, signatureIs(f.Signature))
+}
+
+// keepConfig is the campaign's KeepConfig: the profile, defect set and
+// step budget its own runs use.
+func (o Options) keepConfig() KeepConfig {
+	return KeepConfig{Profile: o.Profile, Bugs: o.bugSet(), StepLimit: o.StepLimit}
 }

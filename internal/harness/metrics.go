@@ -30,7 +30,8 @@ import (
 type SeedMetrics struct {
 	// Runs counts metered VM invocations (the seed's reference run,
 	// mutant runs, and timeout-disambiguation reruns — the same runs
-	// Result.Runs counts; ConfirmAndFix reruns are not metered).
+	// Result.Runs counts; corpus reduction and blame probes run after
+	// Validate and are not metered).
 	Runs int64 `json:"runs"`
 	// Exec is the merged execution metrics of those runs.
 	Exec vm.ExecStats `json:"exec"`

@@ -25,6 +25,8 @@ import (
 
 // journalVersion guards the record schema; bump on incompatible
 // changes so a stale journal fails loudly instead of mis-merging.
+// Dropping a field is compatible: older records still decode (the
+// field is ignored), so the version stays.
 const journalVersion = 1
 
 // journalHeader fingerprints the campaign configuration a journal
@@ -40,7 +42,6 @@ type journalHeader struct {
 	StepLimit      int64  `json:"step_limit"`
 	Buggy          bool   `json:"buggy"`
 	Comparative    bool   `json:"comparative"`
-	ConfirmAndFix  bool   `json:"confirm_and_fix"`
 	CollectMetrics bool   `json:"collect_metrics"`
 }
 
@@ -67,7 +68,6 @@ func headerFor(opts CampaignOptions) journalHeader {
 		StepLimit:      opts.Options.StepLimit,
 		Buggy:          opts.Options.Buggy,
 		Comparative:    opts.Comparative,
-		ConfirmAndFix:  opts.Options.ConfirmAndFix,
 		CollectMetrics: opts.Options.CollectMetrics,
 	}
 }

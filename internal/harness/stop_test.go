@@ -59,8 +59,8 @@ func TestStoppedRunsAreNeverFindings(t *testing.T) {
 	kc := KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: 1 << 40}
 	loop := mustParse(t, `class T { void main() { int i = 0; while (true) { i = i + 1; } } }`)
 	for name, keep := range map[string]func() bool{
-		"crash":    func() bool { return kc.crashes(anySignature)(loop, &stop) },
-		"diverges": func() bool { return kc.diverges(anySignature)(loop, &stop) },
+		"crash":    func() bool { return kc.keep(CrashFinding, anySignature)(loop, &stop) },
+		"diverges": func() bool { return kc.keep(Miscompilation, anySignature)(loop, &stop) },
 	} {
 		if keep() {
 			t.Errorf("%s predicate kept a stopped run", name)

@@ -61,13 +61,6 @@ type Finding struct {
 	Detail    string
 	SeedID    int64
 	MutantID  int
-
-	// Confirmed: the discrepancy reproduces on an independent rerun
-	// (the analogue of developers reproducing the report).
-	Confirmed bool
-	// FixedBy names the single catalog defect whose removal makes the
-	// symptom disappear (the analogue of a bug fix landing), or "".
-	FixedBy string
 }
 
 var digitRun = regexp.MustCompile(`0x[0-9a-fA-F]+|\d+`)
@@ -146,18 +139,12 @@ type Options struct {
 	// Buggy selects the seeded-defect VM (true for campaigns; false
 	// to validate the validator).
 	Buggy bool
-	// BugSet overrides the profile bug set when non-nil (used by
-	// fix-verification and ablations).
-	BugSet bugs.Set
 	// Rand seeds mutation randomness.
 	Rand *rand.Rand
-	// Mutators / DisableSkeletons / MethodProb forward to jonm for
-	// ablation studies.
+	// Mutators / DisableSkeletons forward to jonm for ablation
+	// studies.
 	Mutators         []jonm.MutatorName
 	DisableSkeletons bool
-	// ConfirmAndFix enables the reproduce + fix-bisection analysis on
-	// findings (slower).
-	ConfirmAndFix bool
 	// CollectMetrics enables per-run ExecStats and JIT-trace
 	// collection, aggregated into Result.Metrics (and, by campaigns,
 	// into CampaignStats.Metrics).
@@ -193,10 +180,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// bugSet is the defect set every run uses: the profile's set when
+// Buggy, none otherwise.
 func (o Options) bugSet() bugs.Set {
-	if o.BugSet != nil {
-		return o.BugSet
-	}
 	if o.Buggy {
 		return o.Profile.BugSet()
 	}
@@ -289,7 +275,7 @@ func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 	// A seed whose *default* run already crashes the VM is a finding
 	// on its own (it exercised the JIT by itself).
 	if ref.Term == vm.TermCrash {
-		res.Findings = append(res.Findings, newFinding(o, set, seedBP, seedID, -1, ref, ref))
+		res.Findings = append(res.Findings, newFinding(o, seedID, -1, ref, ref))
 		res.MutantSources = append(res.MutantSources, "") // no mutant: the seed itself crashed
 		return res
 	}
@@ -320,7 +306,7 @@ func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 		if out.Term == vm.TermStopped || out.Equivalent(ref) {
 			continue
 		}
-		f := newFinding(o, set, mbp, seedID, i, ref, out)
+		f := newFinding(o, seedID, i, ref, out)
 		res.Findings = append(res.Findings, f)
 		res.MutantSources = append(res.MutantSources, ast.Print(mutant))
 	}
@@ -373,10 +359,9 @@ func stepRatioBucket(compiled, interp int64) int {
 	return bits.Len64(uint64(r)) - 1
 }
 
-// newFinding classifies a discrepancy and optionally confirms it and
-// bisects the responsible defect. bp is the already-compiled program
-// that produced out; confirmation and bisection rerun it directly.
-func newFinding(o Options, set bugs.Set, bp *bytecode.Program, seedID int64, mutantID int, ref, out *vm.Output) Finding {
+// newFinding classifies the discrepancy between the reference output
+// ref and out, and computes its dedup signature.
+func newFinding(o Options, seedID int64, mutantID int, ref, out *vm.Output) Finding {
 	f := Finding{
 		Profile:  o.Profile.Name,
 		SeedID:   seedID,
@@ -391,38 +376,6 @@ func newFinding(o Options, set bugs.Set, bp *bytecode.Program, seedID int64, mut
 		f.Detail = fmt.Sprintf("%s-vs-%s", ref.Term, out.Term)
 	}
 	f.Signature = signatureOf(f.Kind, o.Profile.Name, f.Component, f.Detail)
-
-	if o.ConfirmAndFix {
-		// Confirm: rerun and compare the normalized symptom (exact
-		// keys would be needlessly brittle for crash diagnostics).
-		again := runProgram(o, set, bp).Output
-		if f.Kind == CrashFinding {
-			f.Confirmed = crashSignature(o.Profile.Name, again) == f.Signature
-		} else {
-			f.Confirmed = again.Key() == out.Key()
-		}
-		// Fix bisection: disable one catalog defect at a time; if the
-		// symptom disappears, that defect is "fixed" by the report.
-		for id := range set {
-			reduced := bugs.Set{}
-			for other := range set {
-				if other != id {
-					reduced[other] = true
-				}
-			}
-			fixed := runProgram(o, reduced, bp).Output
-			symptomGone := false
-			if f.Kind == CrashFinding {
-				symptomGone = fixed.Term != vm.TermCrash
-			} else {
-				symptomGone = fixed.Equivalent(ref)
-			}
-			if symptomGone {
-				f.FixedBy = id
-				break
-			}
-		}
-	}
 	return f
 }
 

@@ -12,7 +12,9 @@
 //	llllllll cccccccc <payload>\n
 //
 // where llllllll is the payload length and cccccccc the IEEE CRC32 of
-// the payload, both as fixed-width lowercase hex. The payload is an
+// the payload, both as exactly eight lowercase hex digits: recovery
+// accepts no other spelling, so re-framing the recovered records
+// reproduces the intact prefix byte for byte. The payload is an
 // arbitrary byte string (the harness stores one JSON document per
 // record, so an intact journal is also valid JSONL after stripping
 // the 18-byte frame prefix). The frame is self-describing: recovery
@@ -137,6 +139,11 @@ func Recover(path string) (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
+	return recoverData(path, data)
+}
+
+// recoverData replays the journal bytes data read from path.
+func recoverData(path string, data []byte) (*Recovered, error) {
 	rec := &Recovered{}
 	off := int64(0)
 	for int(off) < len(data) {
@@ -154,9 +161,9 @@ func Recover(path string) (*Recovered, error) {
 		if len(rest) < frameLen {
 			return tornTail()
 		}
-		var length, sum uint32
-		if _, err := fmt.Sscanf(string(rest[:frameLen-1]), "%08x %08x", &length, &sum); err != nil ||
-			rest[8] != ' ' || rest[frameLen-1] != ' ' {
+		length, lenOK := parseHex8(rest[:8])
+		sum, sumOK := parseHex8(rest[9:17])
+		if !lenOK || !sumOK || rest[8] != ' ' || rest[frameLen-1] != ' ' {
 			// The frame itself is unreadable. If it runs to the end of
 			// the file it is a torn append; earlier it is corruption.
 			if bytes.IndexByte(rest, '\n') == len(rest)-1 || bytes.IndexByte(rest, '\n') == -1 {
@@ -190,6 +197,23 @@ func Recover(path string) (*Recovered, error) {
 	}
 	rec.CleanLen = off
 	return rec, nil
+}
+
+// parseHex8 parses a frame field: exactly eight lowercase hex digits,
+// the only form Append writes.
+func parseHex8(b []byte) (uint32, bool) {
+	var v uint32
+	for _, c := range b {
+		switch {
+		case '0' <= c && c <= '9':
+			v = v<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			v = v<<4 | uint32(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // Resume recovers the journal at path, truncates any torn tail so the

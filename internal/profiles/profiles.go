@@ -99,16 +99,11 @@ func (p *Profile) VMConfig(buggy bool) vm.Config {
 	if buggy {
 		set = p.BugSet()
 	}
-	return vm.Config{
-		Name:            p.Name,
-		EntryThresholds: p.EntryThresholds,
-		OSRThresholds:   p.OSRThresholds,
-		JIT:             jit.New(jit.Options{MaxTier: p.MaxTier, Bugs: set}),
-	}
+	return p.VMConfigWithBugs(set)
 }
 
 // VMConfigWithBugs builds a VM configuration with an explicit defect
-// set (used for "fix verification": disabling one bug at a time).
+// set (blame's defect isolation removes one defect at a time).
 func (p *Profile) VMConfigWithBugs(set bugs.Set) vm.Config {
 	return vm.Config{
 		Name:            p.Name,
