@@ -27,8 +27,8 @@ test: build
 
 # Race-enabled run of the packages with real concurrency: the parallel
 # campaign engine (internal/harness), the reducer that tests candidates
-# on concurrent goroutines (internal/reduce), the per-VM DisablePasses
-# plumbing that concurrent bisection probes rely on and the stop flag
+# on concurrent goroutines (internal/reduce), the per-compiler pass
+# switches that concurrent bisection probes rely on and the stop flag
 # set from other goroutines (internal/jit, internal/vm), and the root
 # package that drives them from benchmarks.
 race:
@@ -61,19 +61,20 @@ resume:
 		-run 'TestResumeDeterminism|TestResumeAfterTornRecord|TestCorpus' \
 		./internal/journal/ ./internal/harness/
 
-# One-shot pass over every benchmark to prove they still run, then
-# the structured throughput report: cmd/bench measures campaign
-# runs/sec, mutate+compile ns/op and allocs/op, and interpreter and
-# compiled-executor ns/op, writing BENCH_campaign.json for
-# cross-commit diffing.
+# One-shot pass over every benchmark to prove they still run: the
+# paper's tables and ablations, the substrate micro-benchmarks and one
+# full blame localization. End-to-end throughput and cost are measured
+# by campaignbench (bench-golden below, BENCHMARK.json).
 bench:
-	$(GO) test -bench . -benchtime 1x -timeout $(TIMEOUT) .
-	$(GO) run ./cmd/bench -seeds 30 -out BENCH_campaign.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TIMEOUT) . ./internal/blame/
 
-# Cheap smoke variant for CI: proves the report pipeline works
-# without paying for a statistically meaningful measurement.
+# Cheap smoke variant for CI: one iteration of each substrate
+# micro-benchmark (front end, interpreter, JIT, compiled-code executor)
+# and of the blame localization, which fails unless it localizes.
 bench-smoke:
-	$(GO) run ./cmd/bench -seeds 3 -benchtime 0.05 -out BENCH_campaign.json
+	$(GO) test -run '^$$' -benchtime 1x -timeout $(TIMEOUT) \
+		-bench '^Benchmark(MutateCompile|Interpreter|TieredExecution|CompiledExecutor|JITCompileTier2|SeedGeneration|BlameGCMStoreSink)$$' \
+		. ./internal/blame/
 
 # Campaign golden gate: one short untraced run of every campaignbench
 # workload. Each run checks every round's finding signatures against the

@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"artemis/internal/bytecode"
 	"artemis/internal/fuzz"
 	"artemis/internal/harness"
 	"artemis/internal/jonm"
@@ -64,7 +65,7 @@ func BenchmarkFigure1CompilationSpace(b *testing.B) {
 
 	var choices []harness.SpaceChoice
 	for i := 0; i < b.N; i++ {
-		choices = harness.EnumerateSpace(prof, prog, methods, false)
+		choices = harness.EnumerateSpace(prof, prog, methods, false, 0)
 		for _, c := range choices {
 			if c.Output.Term != vm.TermNormal || c.Output.Lines[0] != "3" {
 				b.Fatalf("choice %s returned %v %v, want 3", c.Label(methods), c.Output.Term, c.Output.Lines)
@@ -482,8 +483,7 @@ func BenchmarkTieredExecution(b *testing.B) {
 
 // phiLoopSrc keeps eight locals live around a hot loop, so every back
 // edge resolves eight phis with a run of edge moves: the traffic that
-// dominates compiled-code execution in campaigns. cmd/bench runs the
-// same program for the "compiled" entry of BENCH_campaign.json.
+// dominates compiled-code execution in campaigns.
 const phiLoopSrc = `class T {
     long run(int n) {
         long a = 1L; long b = 2L; long c = 3L; long d = 4L;
@@ -523,9 +523,8 @@ func BenchmarkCompiledExecutor(b *testing.B) {
 		cfg := prof.VMConfig(false)
 		cfg.Scratch = scratch
 		cfg.Policy = &vm.ForcedPolicy{
-			Tier:       2,
-			Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-			DisableOSR: true,
+			Tier:   2,
+			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 		}
 		steps = vm.Run(cfg, bp).Steps
 	}
@@ -542,11 +541,34 @@ func BenchmarkJITCompileTier2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := prof.VMConfig(false)
 		cfg.Policy = &vm.ForcedPolicy{
-			Tier:       2,
-			Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-			DisableOSR: true,
+			Tier:   2,
+			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 		}
 		vm.Run(cfg, bp)
+	}
+}
+
+// BenchmarkMutateCompile measures one mutant's front-end cost the way a
+// campaign pays it: JoNM mutation against a pre-analyzed seed plus an
+// incremental (method-granular) compile against the seed's program.
+func BenchmarkMutateCompile(b *testing.B) {
+	prof := mustProfile(b, "hotspotlike")
+	seedProg := fuzz.Generate(fuzz.Options{Seed: 1})
+	seedInfo := sem.MustAnalyze(seedProg)
+	seedBP := bytecode.MustCompile(seedInfo)
+	cfg := &jonm.Config{
+		Min: prof.SynMin, Max: prof.SynMax, StepMax: prof.SynStepMax,
+		Rand:     rand.New(rand.NewSource(1)),
+		SeedInfo: seedInfo,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, rep, err := jonm.Mutate(seedProg, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bytecode.MustCompileDelta(rep.Info, seedBP, rep.Mutated)
 	}
 }
 

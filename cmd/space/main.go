@@ -89,7 +89,7 @@ func main() {
 		}
 	}
 
-	choices := harness.EnumerateSpaceParallel(prof, prog, methods, *buggy, *workers)
+	choices := harness.EnumerateSpace(prof, prog, methods, *buggy, *workers)
 	fmt.Printf("compilation space of %s modulo %s: %d choices over methods %s\n\n",
 		progName(prog), prof.Name, len(choices), strings.Join(methods, ", "))
 

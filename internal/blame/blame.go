@@ -181,7 +181,9 @@ func Localize(prog *ast.Program, symptom Symptom, cfg Config) *Result {
 
 // run executes one probe: the profile VM with the given defect set,
 // optionally with passes disabled, IR validation, or a policy
-// override. Returns nil once the budget is exhausted.
+// override. Every probe gets its own compiler, so the pass switches
+// of concurrent localizations never meet. Returns nil once the budget
+// is exhausted.
 func (e *engine) run(set bugs.Set, disable []string, policy vm.Policy, validateIR bool) *vm.Output {
 	if e.runs >= e.budget {
 		return nil
@@ -189,8 +191,7 @@ func (e *engine) run(set bugs.Set, disable []string, policy vm.Policy, validateI
 	e.runs++
 	cfg := e.cfg.Profile.VMConfigWithBugs(set)
 	cfg.StepLimit = e.cfg.StepLimit
-	cfg.DisablePasses = disable
-	cfg.ValidateIR = validateIR
+	cfg.JIT = jit.New(jit.Options{MaxTier: e.cfg.Profile.MaxTier, Bugs: set, DisablePasses: disable, ValidateIR: validateIR})
 	if policy != nil {
 		cfg.Policy = policy
 	}
@@ -273,7 +274,7 @@ func (e *engine) shrinkSpace(res *Result) {
 				choices[m] = vm.ForceInterpret
 			}
 		}
-		return &vm.ForcedPolicy{Tier: e.cfg.Profile.MaxTier, Methods: choices, DisableOSR: true}
+		return &vm.ForcedPolicy{Tier: e.cfg.Profile.MaxTier, Methods: choices}
 	}
 
 	compiled := make(map[string]bool, len(methods))

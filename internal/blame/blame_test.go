@@ -13,7 +13,7 @@ import (
 	"artemis/internal/vm"
 )
 
-func parse(t *testing.T, src string) *ast.Program {
+func parse(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -24,7 +24,7 @@ func parse(t *testing.T, src string) *ast.Program {
 
 // divergesFrom builds the miscompile symptom the harness uses: the
 // probe output differs from an interpreted reference.
-func divergesFrom(t *testing.T, prog *ast.Program) Symptom {
+func divergesFrom(t testing.TB, prog *ast.Program) Symptom {
 	t.Helper()
 	bp := bytecode.MustCompile(sem.MustAnalyze(prog))
 	ref := vm.Run(vm.Config{}, bp).Output
@@ -34,7 +34,7 @@ func divergesFrom(t *testing.T, prog *ast.Program) Symptom {
 	return func(out *vm.Output) bool { return !out.Equivalent(ref) }
 }
 
-func mustGet(t *testing.T, name string) *profiles.Profile {
+func mustGet(t testing.TB, name string) *profiles.Profile {
 	t.Helper()
 	p, err := profiles.Get(name)
 	if err != nil {
@@ -87,6 +87,23 @@ func TestBlameGCMStoreSink(t *testing.T) {
 	}
 	if res.DefectVerdict != VerdictLocalized || res.FixedBy != "hs-gcm-store-sink" || !res.Reproduced() {
 		t.Errorf("defect verdict %q fixed by %q, want localized hs-gcm-store-sink", res.DefectVerdict, res.FixedBy)
+	}
+}
+
+// BenchmarkBlameGCMStoreSink measures one complete localization of the
+// flagship reproducer with only its own defect on: the cost a campaign
+// pays per first-seen finding when blame is on.
+func BenchmarkBlameGCMStoreSink(b *testing.B) {
+	prof := mustGet(b, "hotspotlike")
+	prog := parse(b, gcmSrc)
+	symptom := divergesFrom(b, prog)
+	cfg := Config{Profile: prof, Bugs: bugs.NewSet("hs-gcm-store-sink")}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := Localize(prog, symptom, cfg); res.PassVerdict != VerdictLocalized {
+			b.Fatalf("localization regressed: %s", res.PassVerdict)
+		}
 	}
 }
 

@@ -398,10 +398,6 @@ func (m *Method) Succs(dst []int, pc int) []int {
 	return dst
 }
 
-// IsRefSlot reports whether local slot i holds an array reference
-// (consumed by the GC when scanning interpreter frames).
-func (m *Method) IsRefSlot(i int) bool { return m.Locals[i].IsArray() }
-
 // Field describes one class field.
 type Field struct {
 	Name string

@@ -300,17 +300,11 @@ func (c *SpaceChoice) Label(methods []string) string {
 // idealized compilation space of Figure 1, realizable here because we
 // own the VM (Section 3.2's "straightforward and ideal realization").
 // All outputs must agree on a correct VM; set buggy to hunt in the
-// seeded-defect VM instead. Choices are evaluated on NumCPU workers;
-// use EnumerateSpaceParallel to pick the worker count.
-func EnumerateSpace(prof *profiles.Profile, prog *ast.Program, methods []string, buggy bool) []SpaceChoice {
-	return EnumerateSpaceParallel(prof, prog, methods, buggy, DefaultWorkers())
-}
-
-// EnumerateSpaceParallel is EnumerateSpace over an explicit worker
-// count. Each mask gets a fresh VM and JIT; the shared compiled
-// program is read-only, and results land at their mask index, so the
-// returned slice is identical for any worker count.
-func EnumerateSpaceParallel(prof *profiles.Profile, prog *ast.Program, methods []string, buggy bool, workers int) []SpaceChoice {
+// seeded-defect VM instead. Choices are evaluated on workers
+// goroutines (0 = NumCPU). Each mask gets a fresh VM and JIT; the
+// shared compiled program is read-only, and results land at their mask
+// index, so the returned slice is identical for any worker count.
+func EnumerateSpace(prof *profiles.Profile, prog *ast.Program, methods []string, buggy bool, workers int) []SpaceChoice {
 	bp := Compile(prog)
 	n := len(methods)
 	total := 1 << n
@@ -327,7 +321,7 @@ func EnumerateSpaceParallel(prof *profiles.Profile, prog *ast.Program, methods [
 			}
 		}
 		cfg := prof.VMConfig(buggy)
-		cfg.Policy = &vm.ForcedPolicy{Tier: prof.MaxTier, Methods: forced, DisableOSR: true}
+		cfg.Policy = &vm.ForcedPolicy{Tier: prof.MaxTier, Methods: forced}
 		cfg.Scratch = scratch
 		cfg.RecordTrace = true
 		cfg.CollectStats = true

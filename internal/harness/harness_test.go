@@ -144,7 +144,7 @@ func TestEnumerateSpaceFigure1(t *testing.T) {
 	}
 	prof := profile(t, "hotspotlike")
 	methods := []string{"main", "foo", "bar", "baz"}
-	choices := EnumerateSpace(prof, prog, methods, false)
+	choices := EnumerateSpace(prof, prog, methods, false, 0)
 	if len(choices) != 16 {
 		t.Fatalf("expected 16 choices, got %d", len(choices))
 	}

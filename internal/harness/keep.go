@@ -147,16 +147,8 @@ func (kc KeepConfig) MiscompileSignature(sig string) reduce.Predicate {
 	return kc.keep(Miscompilation, signatureIs(sig)).Predicate()
 }
 
-// ForMode maps a cmd/mjreduce -mode value to its predicate.
-func (kc KeepConfig) ForMode(mode string) (reduce.Predicate, error) {
-	t, err := kc.TestForMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	return t.Predicate(), nil
-}
-
-// TestForMode is ForMode as a reduce.Test, for reduce.ReduceParallel.
+// TestForMode maps a cmd/mjreduce -mode value to its test, for
+// reduce.ReduceParallel (Predicate gives the one-at-a-time form).
 func (kc KeepConfig) TestForMode(mode string) (reduce.Test, error) {
 	kind, err := kindForMode(mode)
 	if err != nil {

@@ -301,8 +301,8 @@ func TestCampaignParallelRaceStress(t *testing.T) {
         void main() { print(foo()); }
     }`)
 	methods := []string{"main", "foo", "bar", "baz"}
-	seq := EnumerateSpaceParallel(prof, src, methods, false, 1)
-	par := EnumerateSpaceParallel(prof, src, methods, false, 8)
+	seq := EnumerateSpace(prof, src, methods, false, 1)
+	par := EnumerateSpace(prof, src, methods, false, 8)
 	if len(seq) != len(par) {
 		t.Fatalf("choice counts differ: %d vs %d", len(seq), len(par))
 	}

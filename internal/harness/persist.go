@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"artemis/internal/journal"
 )
@@ -32,17 +33,25 @@ const journalVersion = 1
 // journalHeader fingerprints the campaign configuration a journal
 // belongs to. Every field that changes per-seed outcomes is included;
 // Workers and Progress are not (they cannot change outcomes — that is
-// the deterministic-merge invariant).
+// the deterministic-merge invariant). Mutators is the mutator list
+// comma-joined in the given order (jonm draws from it by index), a
+// string so the header stays comparable with !=; an explicit full list
+// fingerprints apart from the unset default, which refuses that resume
+// rather than splicing. The mutation fields are omitted at their
+// defaults so that journals written before they were fingerprinted
+// still resume.
 type journalHeader struct {
-	Kind           string `json:"kind"` // "header"
-	Version        int    `json:"version"`
-	Profile        string `json:"profile"`
-	SeedBase       int64  `json:"seed_base"`
-	MaxIter        int    `json:"max_iter"`
-	StepLimit      int64  `json:"step_limit"`
-	Buggy          bool   `json:"buggy"`
-	Comparative    bool   `json:"comparative"`
-	CollectMetrics bool   `json:"collect_metrics"`
+	Kind             string `json:"kind"` // "header"
+	Version          int    `json:"version"`
+	Profile          string `json:"profile"`
+	SeedBase         int64  `json:"seed_base"`
+	MaxIter          int    `json:"max_iter"`
+	StepLimit        int64  `json:"step_limit"`
+	Buggy            bool   `json:"buggy"`
+	Comparative      bool   `json:"comparative"`
+	CollectMetrics   bool   `json:"collect_metrics"`
+	Mutators         string `json:"mutators,omitempty"`
+	DisableSkeletons bool   `json:"disable_skeletons,omitempty"`
 }
 
 // seedRecord is one journaled seed outcome.
@@ -59,16 +68,22 @@ type seedRecord struct {
 // already have defaults applied, so equivalent explicit and defaulted
 // configurations fingerprint identically).
 func headerFor(opts CampaignOptions) journalHeader {
+	mutators := make([]string, len(opts.Options.Mutators))
+	for i, m := range opts.Options.Mutators {
+		mutators[i] = string(m)
+	}
 	return journalHeader{
-		Kind:           "header",
-		Version:        journalVersion,
-		Profile:        opts.Options.Profile.Name,
-		SeedBase:       opts.SeedBase,
-		MaxIter:        opts.Options.MaxIter,
-		StepLimit:      opts.Options.StepLimit,
-		Buggy:          opts.Options.Buggy,
-		Comparative:    opts.Comparative,
-		CollectMetrics: opts.Options.CollectMetrics,
+		Kind:             "header",
+		Version:          journalVersion,
+		Profile:          opts.Options.Profile.Name,
+		SeedBase:         opts.SeedBase,
+		MaxIter:          opts.Options.MaxIter,
+		StepLimit:        opts.Options.StepLimit,
+		Buggy:            opts.Options.Buggy,
+		Comparative:      opts.Comparative,
+		CollectMetrics:   opts.Options.CollectMetrics,
+		Mutators:         strings.Join(mutators, ","),
+		DisableSkeletons: opts.Options.DisableSkeletons,
 	}
 }
 

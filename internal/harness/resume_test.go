@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"artemis/internal/jonm"
 	"artemis/internal/journal"
 	"artemis/internal/lang/parser"
 	"artemis/internal/reduce"
@@ -172,6 +173,44 @@ func TestResumeConfigMismatch(t *testing.T) {
 	bad.Options.MaxIter = 5 // changes per-seed outcomes
 	if _, err := RunResumableCampaign(bad); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Errorf("config-mismatch resume: got %v, want mismatch error", err)
+	}
+}
+
+// TestResumeMutationConfigMismatch: the mutator list and skeleton
+// synthesis change every mutant, so a journal written under either must
+// refuse to resume under the defaults instead of splicing two
+// campaigns. At their defaults both stay out of the header, which is
+// what keeps default journals byte-identical to older ones.
+func TestResumeMutationConfigMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(o *Options)
+	}{
+		{"mutators", func(o *Options) { o.Mutators = []jonm.MutatorName{jonm.LI} }},
+		{"skeletons", func(o *Options) { o.DisableSkeletons = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ablation.journal")
+			opts := resumeOpts(t, 1)
+			opts.JournalPath = path
+			tc.set(&opts.Options)
+			if _, err := RunResumableCampaign(opts); err != nil {
+				t.Fatal(err)
+			}
+			def := resumeOpts(t, 2)
+			def.JournalPath = path
+			def.Resume = true
+			if _, err := RunResumableCampaign(def); err == nil || !strings.Contains(err.Error(), "mismatch") {
+				t.Errorf("resume under the default %s: got %v, want mismatch error", tc.name, err)
+			}
+		})
+	}
+	data, err := json.Marshal(headerFor(resumeOpts(t, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("mutators")) || bytes.Contains(data, []byte("skeletons")) {
+		t.Errorf("default header names mutation defaults: %s", data)
 	}
 }
 
@@ -431,11 +470,13 @@ func TestKeepPredicateModes(t *testing.T) {
 	if kc.Diff()(benign) {
 		t.Error("diff predicate kept a benign program")
 	}
-	if _, err := kc.ForMode("diff"); err != nil {
+	if keep, err := kc.TestForMode("diff"); err != nil {
 		t.Error(err)
+	} else if keep.Predicate()(benign) {
+		t.Error("diff mode kept a benign program")
 	}
-	if _, err := kc.ForMode("nope"); err == nil {
-		t.Error("ForMode accepted an unknown mode")
+	if _, err := kc.TestForMode("nope"); err == nil {
+		t.Error("TestForMode accepted an unknown mode")
 	}
 	// Signature predicates must reject programs whose behaviour is
 	// fine even when the signature string is arbitrary.

@@ -19,8 +19,6 @@ type buildConfig struct {
 	// speculate enables profile-guided branch pruning with uncommon
 	// traps.
 	speculate bool
-	// minSamples is the branch-profile confidence threshold.
-	minSamples int64
 	// bugStaleLocalFS injects the de-optimization bug: guard frame
 	// states capture block-entry locals rather than current locals, so
 	// resuming after a trap observes stale values.
@@ -377,7 +375,7 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 				}
 				// Speculation: prune a one-sided branch into a guard.
 				if cfg.speculate && prof != nil {
-					if bp := prof.Branches[pc]; bp != nil && bp.Taken+bp.NotTaken >= cfg.minSamples {
+					if bp := prof.Branches[pc]; bp != nil && bp.Taken+bp.NotTaken >= minBranchSamples {
 						if bp.NotTaken == 0 || bp.Taken == 0 {
 							expect := int64(1)
 							hot := int(in.A)

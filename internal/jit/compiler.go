@@ -16,9 +16,6 @@ type Options struct {
 	MaxTier int
 	// Bugs is the enabled seeded-defect set (nil = a correct compiler).
 	Bugs bugs.Set
-	// MinBranchSamples is the profile confidence needed before the
-	// optimizing tier speculates on a one-sided branch.
-	MinBranchSamples int64
 	// DisablePasses names optimizing-tier passes this compiler skips
 	// (see PassNames; "fold1"/"fold2" address the two constant-folding
 	// runs individually). Per-instance state — two compilers with
@@ -35,6 +32,10 @@ type Options struct {
 // covers both constant-folding runs (fold1/fold2 select one).
 var PassNames = []string{"valprop", "fold", "foldbr", "gvn", "licm", "bce", "gcm"}
 
+// minBranchSamples is the profile confidence needed before the
+// optimizing tier speculates on a one-sided branch.
+const minBranchSamples = 8
+
 // Compiler implements vm.JITCompiler with two tiers:
 //
 //	tier 1 — "quick": direct SSA construction, no optimization, no
@@ -48,21 +49,12 @@ var PassNames = []string{"valprop", "fold", "foldbr", "gvn", "licm", "bce", "gcm
 type Compiler struct {
 	opts    Options
 	disable map[string]bool // Options.DisablePasses as a set (nil when empty)
-
-	// Stats
-	Compilations int64
-	CrashCount   int64
-	// CompileNanos is total wall-clock time spent in Compile.
-	CompileNanos int64
 }
 
 // New creates a Compiler.
 func New(opts Options) *Compiler {
 	if opts.MaxTier <= 0 {
 		opts.MaxTier = 2
-	}
-	if opts.MinBranchSamples <= 0 {
-		opts.MinBranchSamples = 8
 	}
 	c := &Compiler{opts: opts}
 	if len(opts.DisablePasses) > 0 {
@@ -81,13 +73,10 @@ func (c *Compiler) MaxTier() int { return c.opts.MaxTier }
 
 // Compile implements vm.JITCompiler.
 func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *vm.CompileError) {
-	c.Compilations++
 	start := time.Now()
-	defer func() { c.CompileNanos += time.Since(start).Nanoseconds() }()
 	defer func() {
 		if r := recover(); r != nil {
 			if cc, ok := r.(compilerCrash); ok {
-				c.CrashCount++
 				code = nil
 				cerr = &vm.CompileError{
 					Crash: true,
@@ -115,20 +104,13 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 
 	cfg := buildConfig{
 		speculate:       tier >= 2 && req.Speculate,
-		minSamples:      c.opts.MinBranchSamples,
 		bugStaleLocalFS: bugSet.Has("oj-deopt-stale"),
 		bugGraphAssert:  tier >= 2 && bugSet.Has("hs-igb-region"),
 	}
 	f := buildSSA(req.Prog, req.MethodIndex, req.OSRLoopID, req.Profile, cfg)
 
-	// A pass is disabled when either the compiler's own set or the
-	// per-request set (threaded from vm.Config.DisablePasses) names it.
-	disabled := func(name string) bool {
-		return c.disable[name] || req.DisablePasses[name]
-	}
-	validate := c.opts.ValidateIR || req.ValidateIR
 	checkIR := func(stage string) {
-		if !validate {
+		if !c.opts.ValidateIR {
 			return
 		}
 		if err := ir.Validate(f); err != nil {
@@ -146,28 +128,28 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 		checkIR(name)
 	}
 	if tier >= 2 {
-		if !disabled("valprop") {
+		if !c.disable["valprop"] {
 			runPass("valprop", func() int { return localValueProp(f, bugSet) })
 		}
-		if !disabled("fold") && !disabled("fold1") {
+		if !c.disable["fold"] && !c.disable["fold1"] {
 			runPass("fold", func() int { return foldConstants(f, bugSet) })
 		}
-		if !disabled("fold") && !disabled("foldbr") {
+		if !c.disable["fold"] && !c.disable["foldbr"] {
 			runPass("foldbr", func() int { return foldBranches(f) })
 		}
-		if !disabled("gvn") {
+		if !c.disable["gvn"] {
 			runPass("gvn", func() int { return gvn(f, bugSet) })
 		}
-		if !disabled("licm") {
+		if !c.disable["licm"] {
 			runPass("licm", func() int { return loopOptimize(f, bugSet) })
 		}
-		if !disabled("bce") {
+		if !c.disable["bce"] {
 			runPass("bce", func() int { return boundsCheckElim(f, bugSet) })
 		}
-		if !disabled("gcm") {
+		if !c.disable["gcm"] {
 			runPass("gcm", func() int { return globalCodeMotion(f, bugSet) })
 		}
-		if !disabled("fold") && !disabled("fold2") {
+		if !c.disable["fold"] && !c.disable["fold2"] {
 			runPass("fold", func() int { return foldConstants(f, bugSet) })
 		}
 		shapeChecks(f, bugSet)

@@ -9,13 +9,13 @@ import (
 	"artemis/internal/vm"
 )
 
-// TestConcurrentDisablePasses pins the refactor that replaced the
-// mutable package global DebugDisablePass with per-compiler
-// Options.DisablePasses threaded through vm.Config: two VMs running
-// concurrently each disable a different pass, and each pipeline must
-// skip only its own. Under the old global, one goroutine's bisection
-// probe would silently change what the other compiled — exactly the
-// interference `go test -race ./internal/jit` exists to catch here.
+// TestConcurrentDisablePasses pins per-compiler pass switches
+// (Options.DisablePasses, which replaced the mutable package global
+// DebugDisablePass): two VMs running concurrently, each with its own
+// compiler, disable a different pass, and each pipeline must skip only
+// its own. Under the old global, one goroutine's bisection probe would
+// silently change what the other compiled — exactly the interference
+// `go test -race ./internal/jit` exists to catch here.
 func TestConcurrentDisablePasses(t *testing.T) {
 	// The flagship GCM store-sink shape: correct output 20, buggy 80.
 	bp := compileSrc(t, `class T {
@@ -31,9 +31,8 @@ func TestConcurrentDisablePasses(t *testing.T) {
 	set := bugs.NewSet("hs-gcm-store-sink")
 	forced := func() vm.Policy {
 		return &vm.ForcedPolicy{
-			Tier:       2,
-			Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-			DisableOSR: true,
+			Tier:   2,
+			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 		}
 	}
 
@@ -48,10 +47,9 @@ func TestConcurrentDisablePasses(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			res := vm.Run(vm.Config{
-				JIT:           New(Options{MaxTier: 2, Bugs: set}),
-				Policy:        forced(),
-				DisablePasses: []string{"gcm"},
-				CollectStats:  true,
+				JIT:          New(Options{MaxTier: 2, Bugs: set, DisablePasses: []string{"gcm"}}),
+				Policy:       forced(),
+				CollectStats: true,
 			}, bp)
 			if res.Output.Term != vm.TermNormal || res.Output.Lines[0] != "20" {
 				errs <- errf("disable gcm: got %v %v, want 20 (gcm ran despite being disabled)", res.Output.Term, res.Output.Lines)
@@ -72,10 +70,9 @@ func TestConcurrentDisablePasses(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			res := vm.Run(vm.Config{
-				JIT:           New(Options{MaxTier: 2, Bugs: set}),
-				Policy:        forced(),
-				DisablePasses: []string{"gvn"},
-				CollectStats:  true,
+				JIT:          New(Options{MaxTier: 2, Bugs: set, DisablePasses: []string{"gvn"}}),
+				Policy:       forced(),
+				CollectStats: true,
 			}, bp)
 			if res.Output.Term != vm.TermNormal || res.Output.Lines[0] != "80" {
 				errs <- errf("disable gvn: got %v %v, want 80 (another goroutine's disable set leaked in)", res.Output.Term, res.Output.Lines)

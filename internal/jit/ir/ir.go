@@ -327,9 +327,6 @@ func (f *Func) NewValue(b *Block, op Op, args ...*Value) *Value {
 	return v
 }
 
-// NumValues returns an upper bound on value IDs (for dense tables).
-func (f *Func) NumValues() int { return int(f.nextValueID) }
-
 // ComputeUses recounts value uses (args, ctrl, frame states).
 func (f *Func) ComputeUses() {
 	for _, b := range f.Blocks {

@@ -1,9 +1,8 @@
 // SSA invariant validation. Validate is the compiler's self-check
-// layer: run between passes (under jit.Options.ValidateIR or
-// vm.Config.ValidateIR) it pins a violation to the pass that
-// introduced it, which lets automatic fault localization distinguish
-// "this pass mis-compiled the program" from "this pass broke the IR
-// and a later stage mis-lowered the wreckage".
+// layer: run between passes (under jit.Options.ValidateIR) it pins a
+// violation to the pass that introduced it, which lets automatic fault
+// localization distinguish "this pass mis-compiled the program" from
+// "this pass broke the IR and a later stage mis-lowered the wreckage".
 //
 // The checks are deliberately limited to properties every pass must
 // preserve:

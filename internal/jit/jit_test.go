@@ -37,17 +37,15 @@ func runModes(t *testing.T, src string) *vm.Output {
 	t.Helper()
 	bp := compileSrc(t, src)
 
-	interp := vm.Run(vm.Config{Name: "interp"}, bp)
+	interp := vm.Run(vm.Config{}, bp)
 
 	for _, tier := range []int{1, 2} {
 		comp := New(Options{MaxTier: tier})
 		cfg := vm.Config{
-			Name: "forced",
-			JIT:  comp,
+			JIT: comp,
 			Policy: &vm.ForcedPolicy{
-				Tier:       tier,
-				Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-				DisableOSR: true,
+				Tier:   tier,
+				Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 			},
 		}
 		res := vm.Run(cfg, bp)
@@ -59,7 +57,6 @@ func runModes(t *testing.T, src string) *vm.Output {
 	}
 
 	tiered := vm.Run(vm.Config{
-		Name:            "tiered",
 		JIT:             New(Options{MaxTier: 2}),
 		EntryThresholds: []int64{20, 100},
 		OSRThresholds:   []int64{30, 150},
@@ -197,9 +194,8 @@ func TestOSRLongLoop(t *testing.T) {
             print(acc);
         }
     }`)
-	interp := vm.Run(vm.Config{Name: "interp"}, bp)
+	interp := vm.Run(vm.Config{}, bp)
 	jitted := vm.Run(vm.Config{
-		Name:            "tiered",
 		JIT:             New(Options{MaxTier: 2}),
 		EntryThresholds: []int64{100, 1000},
 		OSRThresholds:   []int64{100, 1000},
@@ -235,9 +231,8 @@ func TestSpeculationAndDeopt(t *testing.T) {
         }
         void main() { p(); p(); }
     }`)
-	interp := vm.Run(vm.Config{Name: "interp"}, bp)
+	interp := vm.Run(vm.Config{}, bp)
 	jitted := vm.Run(vm.Config{
-		Name:            "tiered",
 		JIT:             New(Options{MaxTier: 2}),
 		EntryThresholds: []int64{500, 2000},
 		OSRThresholds:   []int64{500, 2000},
@@ -266,10 +261,9 @@ func TestForcedPolicyChoicesChangeTrace(t *testing.T) {
 	comp := New(Options{MaxTier: 1})
 	run := func(choice func(string, int64) vm.ForceChoice) *vm.Result {
 		return vm.Run(vm.Config{
-			Name:        "forced",
 			JIT:         comp,
 			RecordTrace: true,
-			Policy:      &vm.ForcedPolicy{Choice: choice, DisableOSR: true},
+			Policy:      &vm.ForcedPolicy{Choice: choice},
 		}, bp)
 	}
 	allInterp := run(func(string, int64) vm.ForceChoice { return vm.ForceInterpret })
@@ -328,17 +322,15 @@ func TestBuggyTiersDetectable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.bug, func(t *testing.T) {
 			bp := compileSrc(t, tc.src)
-			good := vm.Run(vm.Config{Name: "interp"}, bp)
+			good := vm.Run(vm.Config{}, bp)
 			if good.Output.Term != vm.TermNormal {
 				t.Fatalf("interp run failed: %v %s", good.Output.Term, good.Output.Detail)
 			}
 			buggy := vm.Run(vm.Config{
-				Name: "buggy",
-				JIT:  New(Options{MaxTier: 2, Bugs: bugs.NewSet(tc.bug)}),
+				JIT: New(Options{MaxTier: 2, Bugs: bugs.NewSet(tc.bug)}),
 				Policy: &vm.ForcedPolicy{
-					Tier:       2,
-					Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-					DisableOSR: true,
+					Tier:   2,
+					Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 				},
 			}, bp)
 			if buggy.Output.Equivalent(good.Output) {
@@ -363,17 +355,15 @@ func TestCompilerCrashBugsCrashOnlyWhenCompiling(t *testing.T) {
         void main() { print(go(1, 2, 3, 4)); }
     }`
 	bp := compileSrc(t, src)
-	good := vm.Run(vm.Config{Name: "interp"}, bp)
+	good := vm.Run(vm.Config{}, bp)
 	if good.Output.Term != vm.TermNormal {
 		t.Fatalf("interp run failed: %v", good.Output.Term)
 	}
 	buggy := vm.Run(vm.Config{
-		Name: "buggy",
-		JIT:  New(Options{MaxTier: 2, Bugs: bugs.NewSet("hs-loopopt-nest")}),
+		JIT: New(Options{MaxTier: 2, Bugs: bugs.NewSet("hs-loopopt-nest")}),
 		Policy: &vm.ForcedPolicy{
-			Tier:       2,
-			Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-			DisableOSR: true,
+			Tier:   2,
+			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 		},
 	}, bp)
 	if buggy.Output.Term != vm.TermCrash {

@@ -32,7 +32,6 @@ const hotLoopSrc = `class T {
 func TestExecStatsWithJIT(t *testing.T) {
 	bp := compileSrc(t, hotLoopSrc)
 	cfg := vm.Config{
-		Name:            "tiered",
 		JIT:             New(Options{MaxTier: 2}),
 		EntryThresholds: []int64{20, 100},
 		OSRThresholds:   []int64{30, 150},

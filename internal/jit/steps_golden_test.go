@@ -64,7 +64,7 @@ func TestStepAccountingGolden(t *testing.T) {
 				writeRunLine(h, vm.Run(vm.Config{
 					JIT:       New(Options{MaxTier: 2, Bugs: set}),
 					StepLimit: 400_000,
-					Policy:    &vm.ForcedPolicy{Tier: tier, Choice: forceAll, DisableOSR: true},
+					Policy:    &vm.ForcedPolicy{Tier: tier, Choice: forceAll},
 				}, bp))
 			}
 			writeRunLine(h, vm.Run(vm.Config{
@@ -89,7 +89,7 @@ func TestStepAccountingGolden(t *testing.T) {
 			return vm.Config{
 				JIT:       New(Options{MaxTier: 2}),
 				StepLimit: limit,
-				Policy:    &vm.ForcedPolicy{Tier: 2, Choice: forceAll, DisableOSR: true},
+				Policy:    &vm.ForcedPolicy{Tier: 2, Choice: forceAll},
 			}
 		}
 		full := vm.Run(cfg(0), bp)

@@ -14,14 +14,6 @@ func Print(p *Program) string {
 	return pr.b.String()
 }
 
-// PrintStmtNode renders a single statement (useful in error messages
-// and reducer output).
-func PrintStmtNode(s Stmt) string {
-	var pr printer
-	pr.stmt(s)
-	return pr.b.String()
-}
-
 // PrintExpr renders a single expression.
 func PrintExpr(e Expr) string {
 	var pr printer

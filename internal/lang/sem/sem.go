@@ -40,11 +40,6 @@ type Info struct {
 	Methods map[string]*MethodInfo
 }
 
-// MethodByIndex returns the info for the i-th method.
-func (in *Info) MethodByIndex(i int) *MethodInfo {
-	return in.Methods[in.Prog.Class.Methods[i].Name]
-}
-
 // Analyze resolves and type-checks prog, annotating the AST in place.
 func Analyze(prog *ast.Program) (*Info, error) {
 	c := &checker{

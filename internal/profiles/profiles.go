@@ -106,7 +106,6 @@ func (p *Profile) VMConfig(buggy bool) vm.Config {
 // set (blame's defect isolation removes one defect at a time).
 func (p *Profile) VMConfigWithBugs(set bugs.Set) vm.Config {
 	return vm.Config{
-		Name:            p.Name,
 		EntryThresholds: p.EntryThresholds,
 		OSRThresholds:   p.OSRThresholds,
 		JIT:             jit.New(jit.Options{MaxTier: p.MaxTier, Bugs: set}),
@@ -116,5 +115,5 @@ func (p *Profile) VMConfigWithBugs(set bugs.Set) vm.Config {
 // InterpreterConfig returns a JIT-free configuration of this profile
 // (the -Xint analogue).
 func (p *Profile) InterpreterConfig() vm.Config {
-	return vm.Config{Name: p.Name + "-int"}
+	return vm.Config{}
 }

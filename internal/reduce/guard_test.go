@@ -20,8 +20,8 @@ const guardSrc = `class T {
 }`
 
 // TestReduceRejectsUninterestingInput is the regression test for the
-// unchecked precondition: Reduce documents that keep(p) must hold but
-// never verified it. Given an input that is NOT interesting, the old
+// unchecked precondition: the reducer documented that keep(p) must hold
+// but never verified it. Given an input that is NOT interesting, the old
 // code would happily shrink toward whatever small program first
 // satisfies the predicate — returning a "reduced reproducer" for a
 // behaviour the input never had. Now the precondition is probed up
@@ -33,9 +33,9 @@ func TestReduceRejectsUninterestingInput(t *testing.T) {
 	// easily manufacture a silent program.
 	keep := func(q *ast.Program) bool { return runOut(q).NLines == 0 }
 	calls := 0
-	got := Reduce(p, func(q *ast.Program) bool { calls++; return keep(q) }, Options{})
+	got, _ := ReduceChecked(p, func(q *ast.Program) bool { calls++; return keep(q) }, Options{})
 	if ast.Print(got) != ast.Print(p) {
-		t.Errorf("Reduce changed an uninteresting input:\n%s", ast.Print(got))
+		t.Errorf("ReduceChecked changed an uninteresting input:\n%s", ast.Print(got))
 	}
 	if calls != 1 {
 		t.Errorf("predicate consulted %d times, want exactly the one precondition probe", calls)
@@ -64,7 +64,7 @@ func TestReduceCheckedReportsPrecondition(t *testing.T) {
 }
 
 // TestReduceNegativeMaxRounds: a negative MaxRounds used to slip past
-// the ==0 default check, so the round loop never ran and Reduce
+// the ==0 default check, so the round loop never ran and the reducer
 // returned the input unreduced. Negative values now clamp to the
 // default and reduction proceeds.
 func TestReduceNegativeMaxRounds(t *testing.T) {
@@ -80,7 +80,7 @@ func TestReduceNegativeMaxRounds(t *testing.T) {
 	if !keep(p) {
 		t.Fatal("precondition: input must be interesting")
 	}
-	got := Reduce(p, keep, Options{MaxRounds: -5})
+	got, _ := ReduceChecked(p, keep, Options{MaxRounds: -5})
 	if !keep(got) {
 		t.Fatal("reduced program lost the predicate")
 	}

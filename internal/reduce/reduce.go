@@ -53,25 +53,13 @@ type Options struct {
 	MaxEvals int
 }
 
-// Reduce returns the smallest program found that satisfies keep.
-// The input is not modified. The precondition keep(p) is verified
-// up front: if the input is not interesting to begin with, nothing
-// the reducer keeps could be either (every accepted edit re-checks
-// keep), so Reduce returns an unchanged clone instead of shrinking
-// against a vacuous predicate. Callers that need to distinguish "the
-// input was already minimal" from "the input never satisfied the
-// predicate" should use ReduceChecked.
-func Reduce(p *ast.Program, keep Predicate, opts Options) *ast.Program {
-	out, _ := ReduceChecked(p, keep, opts)
-	return out
-}
-
-// ReduceChecked is Reduce with an explicit precondition report: the
-// second return value is false — and the input comes back as an
-// unchanged clone — when keep(p) did not hold to begin with, so the
-// outcome of the precondition probe is never silently discarded. keep
-// is called one candidate at a time, in order, on the caller's
-// goroutine.
+// ReduceChecked returns the smallest program found that satisfies
+// keep; the input is not modified. The precondition keep(p) is
+// verified up front: if the input is not interesting to begin with,
+// nothing the reducer keeps could be either (every accepted edit
+// re-checks keep), so instead of shrinking against a vacuous predicate
+// ReduceChecked returns an unchanged clone and false. keep is called
+// one candidate at a time, in order, on the caller's goroutine.
 func ReduceChecked(p *ast.Program, keep Predicate, opts Options) (*ast.Program, bool) {
 	return ReduceParallel(p, func(q *ast.Program, _ *atomic.Bool) bool { return keep(q) }, 1, opts)
 }

@@ -56,7 +56,7 @@ func TestReducePreservesPredicate(t *testing.T) {
 	if !keep(p) {
 		t.Fatal("seed does not satisfy predicate")
 	}
-	small := Reduce(p, keep, Options{})
+	small, _ := ReduceChecked(p, keep, Options{})
 	if !keep(small) {
 		t.Fatal("reduction lost the predicate")
 	}
@@ -79,9 +79,9 @@ func TestReduceDoesNotTouchInput(t *testing.T) {
 		out := runOut(q)
 		return out.NLines >= 1 && out.Lines[0] == "5"
 	}
-	Reduce(p, keep, Options{})
+	ReduceChecked(p, keep, Options{})
 	if ast.Print(p) != before {
-		t.Fatal("Reduce mutated its input")
+		t.Fatal("ReduceChecked mutated its input")
 	}
 }
 
@@ -99,7 +99,7 @@ func TestReduceFuzzedPrograms(t *testing.T) {
 			out := runOut(q)
 			return out.NLines >= 1 && out.Lines[0] == first && out.Term != vm.TermTimeout
 		}
-		small := Reduce(p, keep, Options{MaxRounds: 4})
+		small, _ := ReduceChecked(p, keep, Options{MaxRounds: 4})
 		if !keep(small) {
 			t.Fatalf("seed %d: predicate lost", seed)
 		}

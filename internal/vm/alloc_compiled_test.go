@@ -40,9 +40,8 @@ func TestCompiledCallAllocations(t *testing.T) {
 			return vm.Run(vm.Config{
 				JIT: jit.New(jit.Options{MaxTier: 2}),
 				Policy: &vm.ForcedPolicy{
-					Tier:       2,
-					Choice:     func(string, int64) vm.ForceChoice { return vm.ForceCompile },
-					DisableOSR: true,
+					Tier:   2,
+					Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
 				},
 			}, bp)
 		}

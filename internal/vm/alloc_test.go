@@ -25,7 +25,7 @@ func TestSteadyStateRunAllocations(t *testing.T) {
     }`)
 
 	scratch := &Scratch{}
-	cfg := Config{Name: "steady", Scratch: scratch}
+	cfg := Config{Scratch: scratch}
 	if res := Run(cfg, bp); res.Output.Term != TermNormal {
 		t.Fatalf("warm-up run: term = %v (%s)", res.Output.Term, res.Output.Detail)
 	}

@@ -120,22 +120,8 @@ func NewHeap(limitWords int64) *Heap {
 	return &Heap{limitWords: limitWords}
 }
 
-// Used returns the payload words currently allocated.
-func (h *Heap) Used() int64 { return h.usedWords }
-
 // PeakWords returns the allocation high-water mark in payload words.
 func (h *Heap) PeakWords() int64 { return h.peakWords }
-
-// NumObjects returns the number of live (non-freed) slots.
-func (h *Heap) NumObjects() int {
-	n := 0
-	for _, o := range h.objects {
-		if o != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // AllocsSinceGC returns allocations since the last collection.
 func (h *Heap) AllocsSinceGC() int64 { return h.allocs }

@@ -31,7 +31,7 @@ func compileSrc(t *testing.T, src string) *bytecode.Program {
 func runInterp(t *testing.T, src string) *Output {
 	t.Helper()
 	bp := compileSrc(t, src)
-	res := Run(Config{Name: "interp-only"}, bp)
+	res := Run(Config{}, bp)
 	return res.Output
 }
 

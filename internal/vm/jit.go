@@ -101,15 +101,6 @@ type CompileRequest struct {
 	// Recompiles counts earlier compilations of this method (all
 	// tiers), for recompilation-bookkeeping behaviour.
 	Recompiles int64
-	// DisablePasses names optimizing-tier passes the compiler must
-	// skip for this compilation (see jit.PassNames). The VM populates
-	// it from Config.DisablePasses — a single read-only map shared by
-	// every request of the run, so concurrent VMs can bisect different
-	// pass sets without racing (unlike the old package-global switch).
-	DisablePasses map[string]bool
-	// ValidateIR asks the compiler to check SSA invariants between
-	// passes and crash with a diagnosable message on violation.
-	ValidateIR bool
 }
 
 // CompileStats describes the work one compilation performed: which

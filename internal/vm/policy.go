@@ -80,7 +80,7 @@ func (p *CounterPolicy) OnBackEdge(st *MethodState, loopID int) Decision {
 type ForceChoice int
 
 const (
-	ForceDefault   ForceChoice = iota // fall back to counters
+	ForceDefault   ForceChoice = iota // interpret
 	ForceInterpret                    // always interpret
 	ForceCompile                      // always run compiled code
 )
@@ -98,10 +98,6 @@ type ForcedPolicy struct {
 	// Choice, when non-nil, decides per dynamic call (callIndex is
 	// 1-based); it overrides Methods.
 	Choice func(method string, callIndex int64) ForceChoice
-	// Fallback handles ForceDefault decisions; nil means interpret.
-	Fallback Policy
-	// DisableOSR suppresses OSR compilation entirely.
-	DisableOSR bool
 }
 
 func (p *ForcedPolicy) tier() int {
@@ -131,19 +127,11 @@ func (p *ForcedPolicy) OnEntry(st *MethodState) Decision {
 	case ForceCompile:
 		return Decision{Action: ActCompile, Tier: p.tier()}
 	}
-	if p.Fallback != nil {
-		return p.Fallback.OnEntry(st)
-	}
 	return Decision{Action: ActInterpret}
 }
 
-// OnBackEdge implements Policy.
+// OnBackEdge implements Policy: forced runs never OSR-compile, so a
+// loop stays in whichever mode its method was entered in.
 func (p *ForcedPolicy) OnBackEdge(st *MethodState, loopID int) Decision {
-	if p.DisableOSR {
-		return Decision{Action: ActInterpret}
-	}
-	if p.Fallback != nil && p.choiceFor(st) == ForceDefault {
-		return p.Fallback.OnBackEdge(st, loopID)
-	}
 	return Decision{Action: ActInterpret}
 }

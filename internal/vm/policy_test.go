@@ -58,10 +58,17 @@ func TestForcedPolicy(t *testing.T) {
 	if d := p2.OnEntry(st); d.Action != ActInterpret {
 		t.Errorf("forced interpret: %+v", d)
 	}
-	// Unlisted methods default to interpret without a fallback.
+	// Unlisted methods default to interpret.
 	other := &MethodState{Name: "g"}
 	if d := p.OnEntry(other); d.Action != ActInterpret {
 		t.Errorf("default: %+v", d)
+	}
+	// Forced runs never OSR-compile: even a force-compiled method's
+	// hot loop keeps interpreting at its back edges.
+	st.Counters.Backedge = []int64{1 << 20}
+	st.osrTiers = []int{0}
+	if d := p.OnBackEdge(st, 0); d.Action != ActInterpret {
+		t.Errorf("hot back edge of a forced method: %+v", d)
 	}
 	// Per-call choice overrides.
 	p3 := &ForcedPolicy{Choice: func(m string, call int64) ForceChoice {

@@ -12,9 +12,6 @@ import (
 // provide ready-made configs that mimic HotSpot-, OpenJ9-, and
 // ART-like tier setups.
 type Config struct {
-	// Name identifies the configuration in reports ("hotspotlike"...).
-	Name string
-
 	// EntryThresholds are the method-counter compilation thresholds
 	// Z_1..Z_N (Definition 3.1). Empty means interpret-only.
 	EntryThresholds []int64
@@ -27,15 +24,6 @@ type Config struct {
 	// Policy overrides the default counter policy when non-nil.
 	Policy Policy
 
-	// DisablePasses names optimizing-tier passes the JIT must skip
-	// (see jit.PassNames); threaded into every CompileRequest. This is
-	// the per-VM knob pass bisection uses: concurrent VMs can each
-	// disable a different set without interfering.
-	DisablePasses []string
-	// ValidateIR makes the JIT check SSA invariants between passes;
-	// violations surface as compiler crashes naming the guilty pass.
-	ValidateIR bool
-
 	// HeapWords bounds the array heap payload (default 1<<20 words).
 	HeapWords int64
 	// GCInterval collects every this many allocations (default 256).
@@ -43,8 +31,6 @@ type Config struct {
 	// StepLimit bounds abstract execution steps (default 200M),
 	// standing in for the paper's 2-minute wall-clock cutoff.
 	StepLimit int64
-	// MaxDepth bounds the call stack (default 400).
-	MaxDepth int
 
 	// RecordTrace enables JIT-trace (temperature vector) recording.
 	RecordTrace bool
@@ -62,9 +48,6 @@ type Config struct {
 	// speculation with uncommon traps (default true when JIT != nil;
 	// set via NoSpeculation).
 	NoSpeculation bool
-	// DeoptLimit disables speculation for a method after this many
-	// deopts (default 4).
-	DeoptLimit int
 
 	// Scratch, when non-nil, supplies reusable per-worker memory
 	// (frame arena, heap backing, per-method state). It must not be
@@ -84,6 +67,14 @@ type Config struct {
 // between two reads of the flag.
 const StopPoll = 16384
 
+const (
+	// maxDepth bounds the call stack.
+	maxDepth = 400
+	// deoptLimit disables speculation for a method after this many
+	// deopts.
+	deoptLimit = 4
+)
+
 func (c Config) withDefaults() Config {
 	if c.HeapWords == 0 {
 		c.HeapWords = 1 << 20
@@ -94,17 +85,11 @@ func (c Config) withDefaults() Config {
 	if c.StepLimit == 0 {
 		c.StepLimit = 200_000_000
 	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 400
-	}
 	if c.TraceLimit == 0 {
 		c.TraceLimit = 4096
 	}
 	if c.MaxOutputLines == 0 {
 		c.MaxOutputLines = 256
-	}
-	if c.DeoptLimit == 0 {
-		c.DeoptLimit = 4
 	}
 	return c
 }
@@ -182,10 +167,6 @@ type VM struct {
 	methods []*MethodState
 	policy  Policy
 
-	// disablePasses is Config.DisablePasses as a set, built once and
-	// shared read-only by every CompileRequest of the run.
-	disablePasses map[string]bool
-
 	steps         int64
 	compiledSteps int64 // subset of steps charged via Env.Step
 	// checkAt is the step count past which the execution loops call
@@ -246,12 +227,6 @@ func New(cfg Config, prog *bytecode.Program) *VM {
 	vm.policy = cfg.Policy
 	if vm.policy == nil {
 		vm.policy = &CounterPolicy{EntryThresholds: cfg.EntryThresholds, OSRThresholds: cfg.OSRThresholds}
-	}
-	if len(cfg.DisablePasses) > 0 {
-		vm.disablePasses = make(map[string]bool, len(cfg.DisablePasses))
-		for _, p := range cfg.DisablePasses {
-			vm.disablePasses[p] = true
-		}
 	}
 	return vm
 }
@@ -403,7 +378,7 @@ func (vm *VM) Heap() *Heap { return vm.heap }
 // and compiled code via the policy. It implements Env for compiled
 // callers.
 func (vm *VM) CallMethod(mi int, args []int64) (int64, *Unwind) {
-	if vm.depth >= vm.cfg.MaxDepth {
+	if vm.depth >= maxDepth {
 		return 0, &Unwind{Err: &RuntimeError{Kind: TrapStackOverflow}}
 	}
 	st := vm.methods[mi]
@@ -457,52 +432,27 @@ func (vm *VM) CallMethod(mi int, args []int64) (int64, *Unwind) {
 	return ret, uw
 }
 
-// ensureCompiled compiles st at tier if not cached. Returns (nil, nil)
-// when compilation failed benignly (caller falls back).
+// ensureCompiled returns st's regular entry at tier, compiling it if
+// it is not cached. Returns (nil, nil) when compilation failed benignly
+// (caller falls back).
 func (vm *VM) ensureCompiled(st *MethodState, tier int) (CompiledCode, *Unwind) {
 	if vm.cfg.JIT == nil {
 		return nil, nil
 	}
-	if tier > vm.cfg.JIT.MaxTier() {
-		tier = vm.cfg.JIT.MaxTier()
-	}
-	if tier >= maxTiers {
-		tier = maxTiers - 1
-	}
+	tier = min(tier, vm.cfg.JIT.MaxTier(), maxTiers-1)
 	if c := st.compiled[tier]; c != nil {
 		return c, nil
 	}
 	if st.failedTiers[tier] {
 		return nil, nil
 	}
-	req := CompileRequest{
-		Prog:          vm.prog,
-		MethodIndex:   st.Index,
-		Tier:          tier,
-		OSRLoopID:     -1,
-		Profile:       st.Profile.Snapshot(),
-		Speculate:     !vm.cfg.NoSpeculation && !st.specDisabled,
-		Recompiles:    st.Compilations,
-		DisablePasses: vm.disablePasses,
-		ValidateIR:    vm.cfg.ValidateIR,
+	code, uw := vm.compile(st, tier, -1)
+	if uw != nil {
+		return nil, uw
 	}
-	code, cerr := vm.cfg.JIT.Compile(req)
-	vm.compilations++
-	st.Compilations++
-	if cerr != nil {
-		if cerr.Crash {
-			// A compiler assertion failure takes the whole VM down,
-			// like a fatal error in a JVM compiler thread.
-			return nil, &Unwind{Crash: fmt.Sprintf("JIT compiler crash (tier %d, method %s): %s", tier, st.Name, cerr.Msg)}
-		}
-		if vm.stats != nil {
-			vm.stats.FailedCompilations++
-		}
+	if code == nil {
 		st.failedTiers[tier] = true
 		return nil, nil
-	}
-	if vm.stats != nil {
-		vm.stats.recordCompile(code, code.Tier(), false)
 	}
 	st.compiled[tier] = code
 	if tier > st.hiTier {
@@ -511,51 +461,59 @@ func (vm *VM) ensureCompiled(st *MethodState, tier int) (CompiledCode, *Unwind) 
 	return code, nil
 }
 
-// ensureOSR compiles an OSR entry for (method, loop) at tier.
+// ensureOSR returns the OSR entry for (method, loop) at tier,
+// compiling it unless one of at least that tier is cached.
 func (vm *VM) ensureOSR(st *MethodState, loopID, tier int) (CompiledCode, *Unwind) {
 	if vm.cfg.JIT == nil {
 		return nil, nil
 	}
-	if tier > vm.cfg.JIT.MaxTier() {
-		tier = vm.cfg.JIT.MaxTier()
-	}
-	if tier >= maxTiers {
-		tier = maxTiers - 1
-	}
+	tier = min(tier, vm.cfg.JIT.MaxTier(), maxTiers-1)
 	if st.osrTiers[loopID] >= tier {
 		return st.osr[loopID], nil
 	}
-	req := CompileRequest{
-		Prog:          vm.prog,
-		MethodIndex:   st.Index,
-		Tier:          tier,
-		OSRLoopID:     loopID,
-		Profile:       st.Profile.Snapshot(),
-		Speculate:     !vm.cfg.NoSpeculation && !st.specDisabled,
-		Recompiles:    st.Compilations,
-		DisablePasses: vm.disablePasses,
-		ValidateIR:    vm.cfg.ValidateIR,
+	code, uw := vm.compile(st, tier, loopID)
+	if uw != nil {
+		return nil, uw
 	}
-	code, cerr := vm.cfg.JIT.Compile(req)
-	vm.compilations++
-	st.Compilations++
-	if cerr != nil {
-		if cerr.Crash {
-			return nil, &Unwind{Crash: fmt.Sprintf("JIT compiler crash (OSR tier %d, method %s, loop %d): %s", tier, st.Name, loopID, cerr.Msg)}
-		}
-		// Benign failure: remember the tier so we stop retrying.
-		if vm.stats != nil {
-			vm.stats.FailedCompilations++
-		}
-		st.osrTiers[loopID] = tier
-		st.osr[loopID] = nil
-		return nil, nil
-	}
-	if vm.stats != nil {
-		vm.stats.recordCompile(code, code.Tier(), true)
-	}
+	// A benign failure caches nil at this tier so it is not retried.
 	st.osrTiers[loopID] = tier
 	st.osr[loopID] = code
+	return code, nil
+}
+
+// compile runs one JIT compilation of st at tier: a regular entry when
+// loopID is -1, otherwise an OSR entry at that loop's header. It
+// returns nil code when compilation failed benignly.
+func (vm *VM) compile(st *MethodState, tier, loopID int) (CompiledCode, *Unwind) {
+	code, cerr := vm.cfg.JIT.Compile(CompileRequest{
+		Prog:        vm.prog,
+		MethodIndex: st.Index,
+		Tier:        tier,
+		OSRLoopID:   loopID,
+		Profile:     st.Profile.Snapshot(),
+		Speculate:   !vm.cfg.NoSpeculation && !st.specDisabled,
+		Recompiles:  st.Compilations,
+	})
+	vm.compilations++
+	st.Compilations++
+	osr := loopID >= 0
+	if cerr != nil {
+		if !cerr.Crash {
+			if vm.stats != nil {
+				vm.stats.FailedCompilations++
+			}
+			return nil, nil
+		}
+		// A compiler assertion failure takes the whole VM down, like a
+		// fatal error in a JVM compiler thread.
+		if osr {
+			return nil, &Unwind{Crash: fmt.Sprintf("JIT compiler crash (OSR tier %d, method %s, loop %d): %s", tier, st.Name, loopID, cerr.Msg)}
+		}
+		return nil, &Unwind{Crash: fmt.Sprintf("JIT compiler crash (tier %d, method %s): %s", tier, st.Name, cerr.Msg)}
+	}
+	if vm.stats != nil {
+		vm.stats.recordCompile(code, code.Tier(), osr)
+	}
 	return code, nil
 }
 
@@ -586,7 +544,7 @@ func (vm *VM) handleDeopt(st *MethodState, d *Deopt, tv *TempVector) (int64, *Un
 	if vm.stats != nil {
 		vm.stats.recordDeopt(d.Reason)
 	}
-	if st.DeoptCount >= vm.cfg.DeoptLimit {
+	if st.DeoptCount >= deoptLimit {
 		st.specDisabled = true
 	}
 	// Throw away every compiled version of the method: the profile it
