@@ -250,12 +250,14 @@ func BenchmarkTable3MutationCostSingleRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sem.Analyze(prog); err != nil {
+		info, err := sem.Analyze(prog)
+		if err != nil {
 			b.Fatal(err)
 		}
 		mutant, _, err := jonm.Mutate(prog, &jonm.Config{
 			Min: prof.SynMin, Max: prof.SynMax, StepMax: prof.SynStepMax,
-			Rand: rand.New(rand.NewSource(int64(i))),
+			Rand:     rand.New(rand.NewSource(int64(i))),
+			SeedInfo: info,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -523,8 +525,8 @@ func BenchmarkCompiledExecutor(b *testing.B) {
 		cfg := prof.VMConfig(false)
 		cfg.Scratch = scratch
 		cfg.Policy = &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		}
 		steps = vm.Run(cfg, bp).Steps
 	}
@@ -541,8 +543,8 @@ func BenchmarkJITCompileTier2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := prof.VMConfig(false)
 		cfg.Policy = &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		}
 		vm.Run(cfg, bp)
 	}

@@ -9,6 +9,10 @@
 //	-mode diff   keep programs whose compiled output differs (default)
 //	-mode crash  keep programs that crash the VM
 //
+// Each predicate run is bounded by -steps; the default, 0, is the
+// campaign's own per-run budget, so a reproducer that a default
+// campaign found re-validates under the budget that found it.
+//
 // Exit status: 0 on success, 1 when the input program does not
 // trigger the finding at all (the keep(original) precondition — there
 // is nothing to reduce, and proceeding would shrink toward an
@@ -57,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer, workers int) int {
 	fs.SetOutput(stderr)
 	profileName := fs.String("profile", "hotspotlike", "VM profile")
 	mode := fs.String("mode", "diff", "predicate: diff | crash")
-	steps := fs.Int64("steps", 100_000_000, "per-run step budget")
+	steps := fs.Int64("steps", 0, "per-run step budget (0 = the campaign's default budget)")
 	rounds := fs.Int("rounds", 12, "max reduction rounds")
 	blameOn := fs.Bool("blame", false, "after reduction, bisect the guilty pass set and shrink the forced-compilation method set")
 	if err := fs.Parse(args); err == flag.ErrHelp {

@@ -50,7 +50,7 @@ func TestOutputMatchesSequentialReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: 100_000_000}
+	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet()}
 	want, ok := reduce.ReduceChecked(prog, kc.Diff(), reduce.Options{MaxRounds: 12})
 	if !ok {
 		t.Fatal("the GCM reproducer no longer shows a discrepancy on hotspotlike")
@@ -95,5 +95,25 @@ func TestBlameReport(t *testing.T) {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
 		}
+	}
+}
+
+// TestStepsDefaultsToCampaignBudget: -steps defaults to 0, which
+// KeepConfig resolves to the campaign's per-run budget, so a reproducer
+// a default campaign found is re-validated under the budget that found
+// it. The flag package prints "(default N)" only for a non-zero default.
+func TestStepsDefaultsToCampaignBudget(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-h"}, io.Discard, &stderr, 1); code != 0 {
+		t.Fatalf("-h: exit %d", code)
+	}
+	help := stderr.String()
+	i := strings.Index(help, "-steps int")
+	if i < 0 {
+		t.Fatalf("help lacks -steps:\n%s", help)
+	}
+	steps, _, _ := strings.Cut(help[i:], "\n  -")
+	if strings.Contains(steps, "(default") {
+		t.Errorf("-steps has a non-zero default:\n%s", steps)
 	}
 }

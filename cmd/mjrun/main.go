@@ -76,8 +76,8 @@ func main() {
 	}
 	if *count0 {
 		cfg.Policy = &vm.ForcedPolicy{
-			Tier:   prof.MaxTier,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    prof.MaxTier,
+			Compile: func(string, int64) bool { return true },
 		}
 	}
 	cfg.StepLimit = *steps

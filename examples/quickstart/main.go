@@ -72,17 +72,19 @@ func main() {
 		st.OSRCompilations, st.Deopts)
 
 	// 3. One JoNM mutation: same observable behaviour, different
-	// compilation choices.
+	// compilation choices. Mutation starts from the seed's analysis, and
+	// the mutant is compiled reusing every method it left untouched.
 	mutant, report, err := jonm.Mutate(prog, &jonm.Config{
 		Min: 50, Max: 100, StepMax: 4,
-		Rand: rand.New(rand.NewSource(7)),
+		Rand:     rand.New(rand.NewSource(7)),
+		SeedInfo: info,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\napplied mutations:", report)
 
-	mbp := bytecode.MustCompile(sem.MustAnalyze(mutant))
+	mbp := bytecode.MustCompileDelta(report.Info, bp, report.Mutated)
 	cfg.JIT = jit.New(jit.Options{MaxTier: 2}) // fresh compiler caches
 	mutRes := vm.Run(cfg, mbp)
 	fmt.Println("mutant output: ", mutRes.Output.Lines)

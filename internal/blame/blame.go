@@ -265,23 +265,14 @@ func (e *engine) shrinkSpace(res *Result) {
 	}
 	sort.Strings(methods)
 
-	forced := func(compiled map[string]bool) vm.Policy {
-		choices := make(map[string]vm.ForceChoice, len(methods))
-		for _, m := range methods {
-			if compiled[m] {
-				choices[m] = vm.ForceCompile
-			} else {
-				choices[m] = vm.ForceInterpret
-			}
-		}
-		return &vm.ForcedPolicy{Tier: e.cfg.Profile.MaxTier, Methods: choices}
-	}
-
+	// One policy serves every probe: its predicate reads the live
+	// compiled set, which probes (run one at a time) see as it shrinks.
 	compiled := make(map[string]bool, len(methods))
 	for _, m := range methods {
 		compiled[m] = true
 	}
-	out := e.run(e.cfg.Bugs, nil, forced(compiled), false)
+	forced := &vm.ForcedPolicy{Tier: e.cfg.Profile.MaxTier, Compile: func(m string, _ int64) bool { return compiled[m] }}
+	out := e.run(e.cfg.Bugs, nil, forced, false)
 	if out == nil {
 		res.SpaceVerdict = VerdictBudget
 		return
@@ -292,7 +283,7 @@ func (e *engine) shrinkSpace(res *Result) {
 	}
 	for _, m := range methods {
 		compiled[m] = false
-		out := e.run(e.cfg.Bugs, nil, forced(compiled), false)
+		out := e.run(e.cfg.Bugs, nil, forced, false)
 		if out == nil {
 			res.SpaceVerdict = VerdictBudget
 			return

@@ -9,7 +9,7 @@ import (
 	"artemis/internal/lang/sem"
 )
 
-func compile(t *testing.T, src string) *Program {
+func compileSrc(t *testing.T, src string) *Program {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -27,7 +27,7 @@ func compile(t *testing.T, src string) *Program {
 }
 
 func TestCompileStructure(t *testing.T) {
-	bp := compile(t, `class T {
+	bp := compileSrc(t, `class T {
         int f = 3;
         int[] arr = new int[]{1, 2};
         int g(int a, long b) { return a + (int)b; }
@@ -55,14 +55,14 @@ func TestCompileStructure(t *testing.T) {
 }
 
 func TestNoClinitWithoutInitializers(t *testing.T) {
-	bp := compile(t, `class T { int a; void main() { print(a); } }`)
+	bp := compileSrc(t, `class T { int a; void main() { print(a); } }`)
 	if bp.ClinitIndex != -1 {
 		t.Error("no clinit expected for default-initialized fields")
 	}
 }
 
 func TestLoopsRecorded(t *testing.T) {
-	bp := compile(t, `class T { void main() {
+	bp := compileSrc(t, `class T { void main() {
         for (int i = 0; i < 3; i++) {
             for (int j = 0; j < 3; j++) { print(i + j); }
         }
@@ -95,7 +95,7 @@ func TestLoopsRecorded(t *testing.T) {
 }
 
 func TestSwitchTable(t *testing.T) {
-	bp := compile(t, `class T { void main() {
+	bp := compileSrc(t, `class T { void main() {
         switch (2) {
         case 1: print(1); break;
         case 2: print(2);
@@ -124,7 +124,7 @@ func TestSwitchTable(t *testing.T) {
 }
 
 func TestDisasmMentionsEverything(t *testing.T) {
-	bp := compile(t, `class T {
+	bp := compileSrc(t, `class T {
         long acc = 1L;
         void main() {
             int[] a = new int[4];
@@ -142,7 +142,7 @@ func TestDisasmMentionsEverything(t *testing.T) {
 }
 
 func TestStackDepths(t *testing.T) {
-	bp := compile(t, `class T {
+	bp := compileSrc(t, `class T {
         int f(int a) { return a * 2 + 1; }
         void main() { print(f(3) + f(4)); }
     }`)
@@ -246,7 +246,7 @@ func TestCondHelpers(t *testing.T) {
 }
 
 func TestCompoundArrayAssignBytecode(t *testing.T) {
-	bp := compile(t, `class T { void main() {
+	bp := compileSrc(t, `class T { void main() {
         int[] a = new int[]{5};
         a[0] += 3;
         print(a[0]);
@@ -260,5 +260,74 @@ func TestCompoundArrayAssignBytecode(t *testing.T) {
 	}
 	if !hasDup2 {
 		t.Error("compound array assignment should use dup2")
+	}
+}
+
+// TestCompileDeltaStructuralChecks: the incremental compiler asserts
+// that a mutant keeps its seed's methods, their signatures and its
+// fields, so that reused methods and indices stay valid; each violation
+// is an error. The mutant edits main, as JoNM would.
+func TestCompileDeltaStructuralChecks(t *testing.T) {
+	const seed = `class T {
+        int a = 1;
+        long b;
+        int f(int x) { return x + a; }
+        void main() { print(f(2)); }
+    }`
+	tests := []struct{ name, src, want string }{
+		{"valid", `class T {
+            int a = 1; long b; int c = 3;
+            int f(int x) { return x + a; }
+            void main() { print(f(c)); }
+        }`, ""},
+		{"method added", `class T {
+            int a = 1; long b;
+            int f(int x) { return x + a; }
+            int g() { return 0; }
+            void main() { print(f(2)); }
+        }`, "method count changed (2 -> 3)"},
+		{"method renamed", `class T {
+            int a = 1; long b;
+            int h(int x) { return x + a; }
+            void main() { print(h(2)); }
+        }`, "method 0 renamed (f -> h)"},
+		{"field removed", `class T {
+            int a = 1;
+            int f(int x) { return x + a; }
+            void main() { print(f(2)); }
+        }`, "fields removed (2 -> 1)"},
+		{"field renamed", `class T {
+            int a = 1; long c;
+            int f(int x) { return x + a; }
+            void main() { print(f(2)); }
+        }`, "field 1 changed (b -> c)"},
+		{"field retyped", `class T {
+            int a = 1; int b;
+            int f(int x) { return x + a; }
+            void main() { print(f(2)); }
+        }`, "field 1 changed (b -> b)"},
+		{"unchanged method re-signed", `class T {
+            int a = 1; long b;
+            int f(int x, int y) { return x + a; }
+            void main() { print(f(2, 3)); }
+        }`, "signature of f changed"},
+	}
+	base := compileSrc(t, seed)
+	for _, tt := range tests {
+		prog, err := parser.Parse(tt.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		info, err := sem.Analyze(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		_, err = CompileDelta(info, base, map[string]bool{"main": true})
+		switch {
+		case tt.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tt.name, err)
+		case tt.want != "" && (err == nil || !strings.Contains(err.Error(), tt.want)):
+			t.Errorf("%s: error %v, want %q", tt.name, err, tt.want)
+		}
 	}
 }

@@ -118,8 +118,8 @@ func TestDifferentialInterpreterVsTiers(t *testing.T) {
 				JIT:       newCorrectJIT(tier),
 				StepLimit: 100_000_000,
 				Policy: &vm.ForcedPolicy{
-					Tier:   tier,
-					Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+					Tier:    tier,
+					Compile: func(string, int64) bool { return true },
 				},
 			}, bp)
 			if !res.Output.Equivalent(ref.Output) {

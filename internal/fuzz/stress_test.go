@@ -22,7 +22,7 @@ func TestStressDifferential(t *testing.T) {
 				JIT:       newCorrectJIT(tier),
 				StepLimit: 40_000_000,
 				Policy: &vm.ForcedPolicy{Tier: tier,
-					Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile }},
+					Compile: func(string, int64) bool { return true }},
 			}, bp)
 			if !res.Output.Equivalent(ref.Output) {
 				t.Errorf("seed %d tier %d: %v/%q vs %v/%q", seed, tier,

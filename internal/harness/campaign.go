@@ -311,17 +311,13 @@ func EnumerateSpace(prof *profiles.Profile, prog *ast.Program, methods []string,
 	choices := make([]SpaceChoice, total)
 	runMask := func(mask int, scratch *vm.Scratch) {
 		compiled := map[string]bool{}
-		forced := map[string]vm.ForceChoice{}
 		for i, m := range methods {
 			if mask&(1<<i) != 0 {
 				compiled[m] = true
-				forced[m] = vm.ForceCompile
-			} else {
-				forced[m] = vm.ForceInterpret
 			}
 		}
 		cfg := prof.VMConfig(buggy)
-		cfg.Policy = &vm.ForcedPolicy{Tier: prof.MaxTier, Methods: forced}
+		cfg.Policy = &vm.ForcedPolicy{Tier: prof.MaxTier, Compile: func(m string, _ int64) bool { return compiled[m] }}
 		cfg.Scratch = scratch
 		cfg.RecordTrace = true
 		cfg.CollectStats = true

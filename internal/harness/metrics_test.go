@@ -11,12 +11,12 @@ import (
 
 // metricsCampaign runs one small metered campaign. StepLimit is kept
 // low so hot mutants time out cheaply; all knobs are deterministic.
-func metricsCampaign(t *testing.T, workers, traceLimit int) *CampaignStats {
+func metricsCampaign(t *testing.T, workers int) *CampaignStats {
 	t.Helper()
 	return RunCampaign(CampaignOptions{
 		Options: Options{
 			Profile: profile(t, "openj9like"), MaxIter: 4, Buggy: true,
-			StepLimit: 3_000_000, CollectMetrics: true, TraceLimit: traceLimit,
+			StepLimit: 3_000_000, CollectMetrics: true,
 		},
 		Seeds:   10,
 		Workers: workers,
@@ -29,7 +29,7 @@ func metricsCampaign(t *testing.T, workers, traceLimit int) *CampaignStats {
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	var ref []byte
 	for _, w := range []int{1, 2, 4} {
-		stats := metricsCampaign(t, w, 0)
+		stats := metricsCampaign(t, w)
 		if stats.Metrics == nil {
 			t.Fatalf("workers=%d: CollectMetrics campaign has nil Metrics", w)
 		}
@@ -60,23 +60,6 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(ref, data) {
 			t.Errorf("workers=%d metrics JSON differs from workers=1:\n%s\nvs\n%s", w, ref, data)
 		}
-	}
-}
-
-// TestMetricsUnaffectedByTraceLimit: truncating retained trace vectors
-// to 1 must not change a single metric — MaxTemp, trace keys, and all
-// counters are tracked incrementally over the full run.
-func TestMetricsUnaffectedByTraceLimit(t *testing.T) {
-	full, err := MetricsReport([]*CampaignStats{metricsCampaign(t, 2, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truncated, err := MetricsReport([]*CampaignStats{metricsCampaign(t, 2, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full, truncated) {
-		t.Errorf("TraceLimit=1 changed metrics:\n%s\nvs\n%s", full, truncated)
 	}
 }
 

@@ -149,10 +149,6 @@ type Options struct {
 	// collection, aggregated into Result.Metrics (and, by campaigns,
 	// into CampaignStats.Metrics).
 	CollectMetrics bool
-	// TraceLimit overrides the VM's retained-trace cap for metered
-	// runs (0 = VM default). Truncation affects memory only, never
-	// metric values.
-	TraceLimit int
 
 	// scratch, when non-nil, is the reusable per-worker VM memory
 	// threaded into every run this Options performs. Purely a
@@ -210,7 +206,6 @@ func (o Options) runConfig(cfg vm.Config, metered bool) vm.Config {
 	if metered && o.CollectMetrics {
 		cfg.CollectStats = true
 		cfg.RecordTrace = true
-		cfg.TraceLimit = o.TraceLimit
 	}
 	return cfg
 }
@@ -393,8 +388,8 @@ func TraditionalDiscrepancy(seedBP *bytecode.Program, o Options) (bool, int) {
 	}
 	cfg := o.runConfig(o.Profile.VMConfigWithBugs(set), false)
 	cfg.Policy = &vm.ForcedPolicy{
-		Tier:   o.Profile.MaxTier,
-		Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+		Tier:    o.Profile.MaxTier,
+		Compile: func(string, int64) bool { return true },
 	}
 	full := vm.Run(cfg, seedBP).Output
 	runs++

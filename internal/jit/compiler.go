@@ -17,8 +17,7 @@ type Options struct {
 	// Bugs is the enabled seeded-defect set (nil = a correct compiler).
 	Bugs bugs.Set
 	// DisablePasses names optimizing-tier passes this compiler skips
-	// (see PassNames; "fold1"/"fold2" address the two constant-folding
-	// runs individually). Per-instance state — two compilers with
+	// (see PassNames). Per-instance state — two compilers with
 	// different sets can run concurrently, which pass bisection needs.
 	DisablePasses []string
 	// ValidateIR checks SSA invariants after construction and after
@@ -29,7 +28,7 @@ type Options struct {
 
 // PassNames lists the optimizing-tier passes in pipeline order — the
 // canonical unit set for DisablePasses and pass bisection. "fold"
-// covers both constant-folding runs (fold1/fold2 select one).
+// covers both constant-folding runs and foldbr.
 var PassNames = []string{"valprop", "fold", "foldbr", "gvn", "licm", "bce", "gcm"}
 
 // minBranchSamples is the profile confidence needed before the
@@ -131,7 +130,7 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 		if !c.disable["valprop"] {
 			runPass("valprop", func() int { return localValueProp(f, bugSet) })
 		}
-		if !c.disable["fold"] && !c.disable["fold1"] {
+		if !c.disable["fold"] {
 			runPass("fold", func() int { return foldConstants(f, bugSet) })
 		}
 		if !c.disable["fold"] && !c.disable["foldbr"] {
@@ -149,7 +148,7 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 		if !c.disable["gcm"] {
 			runPass("gcm", func() int { return globalCodeMotion(f, bugSet) })
 		}
-		if !c.disable["fold"] && !c.disable["fold2"] {
+		if !c.disable["fold"] {
 			runPass("fold", func() int { return foldConstants(f, bugSet) })
 		}
 		shapeChecks(f, bugSet)

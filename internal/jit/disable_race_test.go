@@ -31,8 +31,8 @@ func TestConcurrentDisablePasses(t *testing.T) {
 	set := bugs.NewSet("hs-gcm-store-sink")
 	forced := func() vm.Policy {
 		return &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		}
 	}
 

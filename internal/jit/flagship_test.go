@@ -40,8 +40,8 @@ func TestFlagshipGCMStoreSink(t *testing.T) {
 		return vm.Run(vm.Config{
 			JIT: New(Options{MaxTier: 2, Bugs: set}),
 			Policy: &vm.ForcedPolicy{
-				Tier:   2,
-				Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+				Tier:    2,
+				Compile: func(string, int64) bool { return true },
 			},
 		}, bp).Output
 	}
@@ -93,8 +93,8 @@ func TestBCEOffByOneCorruptsHeap(t *testing.T) {
 		JIT:        New(Options{MaxTier: 2, Bugs: bugs.NewSet("oj-bce-offbyone")}),
 		GCInterval: 64,
 		Policy: &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		},
 	}, bp)
 	if buggy.Output.Equivalent(interp.Output) {
@@ -134,8 +134,8 @@ func TestGCBarrierCorruption(t *testing.T) {
 		JIT:        New(Options{MaxTier: 2, Bugs: bugs.NewSet("oj-gc-barrier")}),
 		GCInterval: 64,
 		Policy: &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		},
 	}, bp)
 	if buggy.Output.Term != vm.TermCrash || !strings.Contains(buggy.Output.Detail, "heap corruption") {
@@ -201,8 +201,8 @@ func TestRegisterAliasing(t *testing.T) {
 	buggy := vm.Run(vm.Config{
 		JIT: New(Options{MaxTier: 2, Bugs: bugs.NewSet("hs-ra-highpressure")}),
 		Policy: &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		},
 	}, bp).Output
 	if buggy.Equivalent(interp) {

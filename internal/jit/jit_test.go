@@ -44,8 +44,8 @@ func runModes(t *testing.T, src string) *vm.Output {
 		cfg := vm.Config{
 			JIT: comp,
 			Policy: &vm.ForcedPolicy{
-				Tier:   tier,
-				Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+				Tier:    tier,
+				Compile: func(string, int64) bool { return true },
 			},
 		}
 		res := vm.Run(cfg, bp)
@@ -259,20 +259,15 @@ func TestForcedPolicyChoicesChangeTrace(t *testing.T) {
         }
     }`)
 	comp := New(Options{MaxTier: 1})
-	run := func(choice func(string, int64) vm.ForceChoice) *vm.Result {
+	run := func(compile func(string, int64) bool) *vm.Result {
 		return vm.Run(vm.Config{
 			JIT:         comp,
 			RecordTrace: true,
-			Policy:      &vm.ForcedPolicy{Choice: choice},
+			Policy:      &vm.ForcedPolicy{Compile: compile},
 		}, bp)
 	}
-	allInterp := run(func(string, int64) vm.ForceChoice { return vm.ForceInterpret })
-	mixed := run(func(m string, call int64) vm.ForceChoice {
-		if m == "f" && call%2 == 0 {
-			return vm.ForceCompile
-		}
-		return vm.ForceInterpret
-	})
+	allInterp := run(func(string, int64) bool { return false })
+	mixed := run(func(m string, call int64) bool { return m == "f" && call%2 == 0 })
 	if !allInterp.Output.Equivalent(mixed.Output) {
 		t.Fatal("different compilation choices must not change output")
 	}
@@ -329,8 +324,8 @@ func TestBuggyTiersDetectable(t *testing.T) {
 			buggy := vm.Run(vm.Config{
 				JIT: New(Options{MaxTier: 2, Bugs: bugs.NewSet(tc.bug)}),
 				Policy: &vm.ForcedPolicy{
-					Tier:   2,
-					Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+					Tier:    2,
+					Compile: func(string, int64) bool { return true },
 				},
 			}, bp)
 			if buggy.Output.Equivalent(good.Output) {
@@ -362,8 +357,8 @@ func TestCompilerCrashBugsCrashOnlyWhenCompiling(t *testing.T) {
 	buggy := vm.Run(vm.Config{
 		JIT: New(Options{MaxTier: 2, Bugs: bugs.NewSet("hs-loopopt-nest")}),
 		Policy: &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		},
 	}, bp)
 	if buggy.Output.Term != vm.TermCrash {

@@ -26,7 +26,7 @@ const stepGoldenDigest = "c611aa189e36147d5237be547a9a879d6498bfd6021bc3e295340a
 // stepGoldenSeeds is the number of fuzzer seeds the golden runs.
 const stepGoldenSeeds = 96
 
-func forceAll(string, int64) vm.ForceChoice { return vm.ForceCompile }
+func forceAll(string, int64) bool { return true }
 
 // writeRunLine adds one run's observable outcome and bookkeeping to h.
 func writeRunLine(h hash.Hash, res *vm.Result) {
@@ -64,7 +64,7 @@ func TestStepAccountingGolden(t *testing.T) {
 				writeRunLine(h, vm.Run(vm.Config{
 					JIT:       New(Options{MaxTier: 2, Bugs: set}),
 					StepLimit: 400_000,
-					Policy:    &vm.ForcedPolicy{Tier: tier, Choice: forceAll},
+					Policy:    &vm.ForcedPolicy{Tier: tier, Compile: forceAll},
 				}, bp))
 			}
 			writeRunLine(h, vm.Run(vm.Config{
@@ -89,7 +89,7 @@ func TestStepAccountingGolden(t *testing.T) {
 			return vm.Config{
 				JIT:       New(Options{MaxTier: 2}),
 				StepLimit: limit,
-				Policy:    &vm.ForcedPolicy{Tier: 2, Choice: forceAll},
+				Policy:    &vm.ForcedPolicy{Tier: 2, Compile: forceAll},
 			}
 		}
 		full := vm.Run(cfg(0), bp)

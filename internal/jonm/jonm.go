@@ -24,6 +24,7 @@
 package jonm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -62,12 +63,10 @@ type Config struct {
 	// benchmarks; Section 3.4 argues skeletons diversify the control
 	// and data flow of synthesized loops.
 	DisableSkeletons bool
-	// SeedInfo, when non-nil, must be the sem analysis of exactly the
-	// seed program passed to Mutate (same AST object graph). It enables
-	// the incremental validity check: only mutated methods are
-	// re-analyzed, everything else reuses the seed's results. Mutation
-	// behaviour (RNG consumption, produced mutants) is identical either
-	// way.
+	// SeedInfo is the sem analysis of exactly the seed program passed
+	// to Mutate (same AST object graph); it is required. The validity
+	// check is incremental: only mutated methods are re-analyzed,
+	// everything else reuses the seed's results.
 	SeedInfo *sem.Info
 }
 
@@ -134,31 +133,21 @@ func (r *Report) String() string {
 // forced mutation is applied so every call yields a distinct JIT
 // trace.
 func Mutate(seed *ast.Program, cfg *Config) (*ast.Program, *Report, error) {
+	if cfg.SeedInfo == nil {
+		return nil, nil, errors.New("jonm: Config.SeedInfo is required")
+	}
 	cfg = cfg.withDefaults()
-	var p *ast.Program
-	cow := cfg.SeedInfo != nil
-	if cow {
-		// Copy-on-write clone: the program shell (class, field and
-		// method tables) is fresh, but a method body is deep-cloned
-		// only when a mutator actually edits it (ensureCloned).
-		// Untouched methods stay shared with the seed — safe because
-		// the incremental analysis (AnalyzeDelta) never writes to
-		// unchanged methods, and mutant ASTs are read-only downstream.
-		cls := *seed.Class
-		cls.Fields = append([]*ast.Field(nil), seed.Class.Fields...)
-		cls.Methods = append([]*ast.Method(nil), seed.Class.Methods...)
-		p = &ast.Program{Class: &cls}
-	} else {
-		// Full analysis re-annotates every method in place, so the
-		// mutant must not share any node with the seed.
-		p = ast.CloneProgram(seed)
-	}
+	// Copy-on-write clone: the program shell (class, field and method
+	// tables) is fresh, but a method body is deep-cloned only when a
+	// mutator actually edits it (ensureCloned). Untouched methods stay
+	// shared with the seed — safe because the incremental analysis
+	// (AnalyzeDelta) never writes to unchanged methods, and mutant ASTs
+	// are read-only downstream.
+	cls := *seed.Class
+	cls.Fields = append([]*ast.Field(nil), seed.Class.Fields...)
+	cls.Methods = append([]*ast.Method(nil), seed.Class.Methods...)
+	p := &ast.Program{Class: &cls}
 	mc := newMutationCtx(p, cfg)
-	if !cow {
-		for i := range mc.cloned {
-			mc.cloned[i] = true
-		}
-	}
 	report := &Report{}
 
 	n := len(p.Class.Methods)
@@ -179,13 +168,7 @@ func Mutate(seed *ast.Program, cfg *Config) (*ast.Program, *Report, error) {
 		}
 	}
 
-	var info *sem.Info
-	var err error
-	if cfg.SeedInfo != nil {
-		info, err = sem.AnalyzeDelta(p, cfg.SeedInfo, mc.mutated)
-	} else {
-		info, err = sem.Analyze(p)
-	}
+	info, err := sem.AnalyzeDelta(p, cfg.SeedInfo, mc.mutated)
 	if err != nil {
 		return nil, nil, fmt.Errorf("jonm: mutation produced an invalid program (%s): %w", report, err)
 	}

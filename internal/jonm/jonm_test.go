@@ -14,13 +14,17 @@ import (
 	"artemis/internal/vm"
 )
 
-// testCfg returns a small-bounds config so tests run fast while still
-// producing thousands of synthesized iterations.
-func testCfg(seed int64) *Config {
-	return &Config{Min: 500, Max: 1000, StepMax: 4, Rand: rand.New(rand.NewSource(seed))}
+// testSeed is an analyzed and compiled seed. Its mutants are compiled
+// against it incrementally from Report.Info (CompileDelta), as a
+// campaign compiles them: a full sem.Analyze of a copy-on-write mutant
+// would re-annotate the method nodes it shares with the seed.
+type testSeed struct {
+	prog *ast.Program
+	info *sem.Info
+	bp   *bytecode.Program
 }
 
-func run(t *testing.T, p *ast.Program, cfg vm.Config) *vm.Output {
+func newTestSeed(t *testing.T, p *ast.Program) *testSeed {
 	t.Helper()
 	info, err := sem.Analyze(p)
 	if err != nil {
@@ -30,14 +34,30 @@ func run(t *testing.T, p *ast.Program, cfg vm.Config) *vm.Output {
 	if err != nil {
 		t.Fatalf("bytecode: %v", err)
 	}
-	return vm.Run(cfg, bp).Output
+	return &testSeed{prog: p, info: info, bp: bp}
+}
+
+// cfg returns a small-bounds config so tests run fast while still
+// producing thousands of synthesized iterations.
+func (s *testSeed) cfg(rngSeed int64) *Config {
+	return &Config{Min: 500, Max: 1000, StepMax: 4, Rand: rand.New(rand.NewSource(rngSeed)), SeedInfo: s.info}
+}
+
+// compile compiles a mutant of s from its report.
+func (s *testSeed) compile(t *testing.T, mutant *ast.Program, rep *Report) *bytecode.Program {
+	t.Helper()
+	bp, err := bytecode.CompileDelta(rep.Info, s.bp, rep.Mutated)
+	if err != nil {
+		t.Fatalf("bytecode: %v\n%s", err, ast.Print(mutant))
+	}
+	return bp
 }
 
 func TestMutateProducesValidDistinctPrograms(t *testing.T) {
-	seedProg := fuzz.Generate(fuzz.Options{Seed: 7})
+	seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: 7}))
 	seen := map[string]bool{}
 	for i := int64(0); i < 20; i++ {
-		mutant, rep, err := Mutate(seedProg, testCfg(i))
+		mutant, rep, err := Mutate(seed.prog, seed.cfg(i))
 		if err != nil {
 			t.Fatalf("mutate %d: %v", i, err)
 		}
@@ -45,7 +65,7 @@ func TestMutateProducesValidDistinctPrograms(t *testing.T) {
 			t.Errorf("mutation %d applied nothing", i)
 		}
 		src := ast.Print(mutant)
-		if src == ast.Print(seedProg) {
+		if src == ast.Print(seed.prog) {
 			t.Errorf("mutant %d identical to seed", i)
 		}
 		seen[src] = true
@@ -59,16 +79,33 @@ func TestMutateProducesValidDistinctPrograms(t *testing.T) {
 	}
 }
 
+// TestMutateDoesNotModifySeed: mutants share every unedited method
+// with the seed, so neither mutation nor the mutant's analysis may
+// write to the seed — its source or the annotations a compile reads.
 func TestMutateDoesNotModifySeed(t *testing.T) {
-	seedProg := fuzz.Generate(fuzz.Options{Seed: 3})
-	before := ast.Print(seedProg)
+	seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: 3}))
+	before, code := ast.Print(seed.prog), bytecode.Disasm(seed.bp)
 	for i := int64(0); i < 5; i++ {
-		if _, _, err := Mutate(seedProg, testCfg(i)); err != nil {
+		mutant, rep, err := Mutate(seed.prog, seed.cfg(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		seed.compile(t, mutant, rep)
 	}
-	if ast.Print(seedProg) != before {
+	if ast.Print(seed.prog) != before {
 		t.Fatal("Mutate modified the seed program in place")
+	}
+	if bytecode.Disasm(bytecode.MustCompile(seed.info)) != code {
+		t.Fatal("Mutate modified the seed's annotations")
+	}
+}
+
+func TestMutateRequiresSeedInfo(t *testing.T) {
+	seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: 3}))
+	cfg := seed.cfg(1)
+	cfg.SeedInfo = nil
+	if _, _, err := Mutate(seed.prog, cfg); err == nil {
+		t.Fatal("Mutate without SeedInfo returned no error")
 	}
 }
 
@@ -77,17 +114,17 @@ func TestMutateDoesNotModifySeed(t *testing.T) {
 // interpreter where no JIT can interfere.
 func TestNeutralityInterpreted(t *testing.T) {
 	for s := int64(0); s < 25; s++ {
-		seedProg := fuzz.Generate(fuzz.Options{Seed: s})
-		ref := run(t, seedProg, vm.Config{StepLimit: 10_000_000})
+		seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: s}))
+		ref := vm.Run(vm.Config{StepLimit: 10_000_000}, seed.bp).Output
 		if ref.Term == vm.TermTimeout {
 			continue
 		}
 		for i := int64(0); i < 4; i++ {
-			mutant, rep, err := Mutate(seedProg, testCfg(s*100+i))
+			mutant, rep, err := Mutate(seed.prog, seed.cfg(s*100+i))
 			if err != nil {
 				t.Fatalf("seed %d mutant %d: %v", s, i, err)
 			}
-			got := run(t, mutant, vm.Config{StepLimit: 500_000_000})
+			got := vm.Run(vm.Config{StepLimit: 500_000_000}, seed.compile(t, mutant, rep)).Output
 			if got.Term == vm.TermTimeout {
 				continue // mutant too hot for the budget; harness discards these
 			}
@@ -107,17 +144,17 @@ func TestNeutralityQuick(t *testing.T) {
 		t.Skip("slow property test")
 	}
 	check := func(fuzzSeed, mutSeed int64) bool {
-		seedProg := fuzz.Generate(fuzz.Options{Seed: fuzzSeed})
-		ref := run(t, seedProg, vm.Config{StepLimit: 10_000_000})
+		seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: fuzzSeed}))
+		ref := vm.Run(vm.Config{StepLimit: 10_000_000}, seed.bp).Output
 		if ref.Term == vm.TermTimeout {
 			return true
 		}
-		mutant, _, err := Mutate(seedProg, testCfg(mutSeed))
+		mutant, rep, err := Mutate(seed.prog, seed.cfg(mutSeed))
 		if err != nil {
 			t.Logf("mutate error: %v", err)
 			return false
 		}
-		got := run(t, mutant, vm.Config{StepLimit: 500_000_000})
+		got := vm.Run(vm.Config{StepLimit: 500_000_000}, seed.compile(t, mutant, rep)).Output
 		if got.Term == vm.TermTimeout {
 			return true
 		}
@@ -131,7 +168,7 @@ func TestNeutralityQuick(t *testing.T) {
 // TestMutantsHeatTheJIT: mutants must actually reach compilation —
 // that is their entire purpose (the seed stays cold, Section 2.2).
 func TestMutantsHeatTheJIT(t *testing.T) {
-	seedProg := fuzz.Generate(fuzz.Options{Seed: 11})
+	seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: 11}))
 	cfg := vm.Config{
 		JIT:             jit.New(jit.Options{MaxTier: 2}),
 		EntryThresholds: []int64{80, 250},
@@ -139,21 +176,17 @@ func TestMutantsHeatTheJIT(t *testing.T) {
 		RecordTrace:     true,
 		StepLimit:       500_000_000,
 	}
-	info := sem.MustAnalyze(seedProg)
-	bp := bytecode.MustCompile(info)
-	seedRes := vm.Run(cfg, bp)
+	seedRes := vm.Run(cfg, seed.bp)
 
 	hot, distinctTraces := 0, 0
 	for i := int64(0); i < 8; i++ {
-		mutant, _, err := Mutate(seedProg, testCfg(i))
+		mutant, rep, err := Mutate(seed.prog, seed.cfg(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		mi := sem.MustAnalyze(mutant)
-		mbp := bytecode.MustCompile(mi)
 		cfg2 := cfg
 		cfg2.JIT = jit.New(jit.Options{MaxTier: 2})
-		res := vm.Run(cfg2, mbp)
+		res := vm.Run(cfg2, seed.compile(t, mutant, rep))
 		if res.Compilations > 0 {
 			hot++
 		}
@@ -176,22 +209,22 @@ func TestMutantsHeatTheJIT(t *testing.T) {
 // Algorithm 1.
 func TestNeutralityUnderCorrectJIT(t *testing.T) {
 	for s := int64(30); s < 45; s++ {
-		seedProg := fuzz.Generate(fuzz.Options{Seed: s})
-		ref := run(t, seedProg, vm.Config{StepLimit: 10_000_000})
+		seed := newTestSeed(t, fuzz.Generate(fuzz.Options{Seed: s}))
+		ref := vm.Run(vm.Config{StepLimit: 10_000_000}, seed.bp).Output
 		if ref.Term == vm.TermTimeout {
 			continue
 		}
 		for i := int64(0); i < 3; i++ {
-			mutant, rep, err := Mutate(seedProg, testCfg(s*10+i))
+			mutant, rep, err := Mutate(seed.prog, seed.cfg(s*10+i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := run(t, mutant, vm.Config{
+			got := vm.Run(vm.Config{
 				JIT:             jit.New(jit.Options{MaxTier: 2}),
 				EntryThresholds: []int64{80, 250},
 				OSRThresholds:   []int64{100, 350},
 				StepLimit:       500_000_000,
-			})
+			}, seed.compile(t, mutant, rep)).Output
 			if got.Term == vm.TermTimeout {
 				continue
 			}
@@ -218,15 +251,16 @@ func TestMutatorSpecificShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := run(t, ast.CloneProgram(seedProg), vm.Config{})
+	seed := newTestSeed(t, seedProg)
+	ref := vm.Run(vm.Config{}, seed.bp).Output
 
 	for _, mut := range []MutatorName{LI, SW, MI} {
 		found := false
 		for i := int64(0); i < 12 && !found; i++ {
-			cfg := testCfg(i)
+			cfg := seed.cfg(i)
 			cfg.Mutators = []MutatorName{mut}
 			cfg.MethodProb = 1
-			mutant, rep, err := Mutate(seedProg, cfg)
+			mutant, rep, err := Mutate(seed.prog, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", mut, err)
 			}
@@ -235,7 +269,7 @@ func TestMutatorSpecificShapes(t *testing.T) {
 					found = true
 				}
 			}
-			got := run(t, mutant, vm.Config{StepLimit: 500_000_000})
+			got := vm.Run(vm.Config{StepLimit: 500_000_000}, seed.compile(t, mutant, rep)).Output
 			if got.Term != vm.TermTimeout && !got.Equivalent(ref) {
 				t.Errorf("%s mutant not neutral (%s):\nseed %v mutant %v\n%s",
 					mut, rep, ref.Lines, got.Lines, ast.Print(mutant))

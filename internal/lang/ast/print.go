@@ -2,6 +2,7 @@ package ast
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -282,15 +283,23 @@ func (p *printer) expr(e Expr, ctx int) {
 			p.b.WriteByte('(')
 		}
 		p.b.WriteString(e.Op.String())
-		// "-(-5)" must not print as "--5": parenthesize operands that
-		// themselves start with a minus sign.
-		inner := e.Op == OpNeg && startsWithMinus(e.X)
-		if inner {
+		lit, isLit := e.X.(*IntLit)
+		switch {
+		case e.Op == OpNeg && isLit && isMinLit(lit):
+			// The lexer reads the minimum's magnitude (2147483648 or
+			// 9223372036854775808L) as the minimum itself, so
+			// "-2147483648" parses to a negated minimum: print it so.
+			fmt.Fprintf(&p.b, "%d", uint64(-lit.Value))
+			if lit.IsLong {
+				p.b.WriteByte('L')
+			}
+		case e.Op == OpNeg && startsWithMinus(e.X):
+			// "-(-5)" must not print as "--5".
 			p.b.WriteByte('(')
-		}
-		p.expr(e.X, precUnary)
-		if inner {
+			p.expr(e.X, precUnary)
 			p.b.WriteByte(')')
+		default:
+			p.expr(e.X, precUnary)
 		}
 		if paren {
 			p.b.WriteByte(')')
@@ -349,6 +358,14 @@ func (p *printer) expr(e Expr, ctx int) {
 	default:
 		panic(fmt.Sprintf("ast: unknown expression %T", e))
 	}
+}
+
+// isMinLit reports whether lit is the minimum value of its type.
+func isMinLit(lit *IntLit) bool {
+	if lit.IsLong {
+		return lit.Value == math.MinInt64
+	}
+	return lit.Value == math.MinInt32
 }
 
 // startsWithMinus reports whether e's printed form begins with '-'.

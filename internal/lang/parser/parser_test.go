@@ -128,6 +128,12 @@ func TestPrecedence(t *testing.T) {
 		{"a - (b - c)", "a - (b - c)"},
 		{"a == b != c", "a == b != c"},
 		{"x ? y : (z ? w : v)", "x ? y : z ? w : v"}, // ?: is right-associative, parens redundant
+		{"-(-5)", "-(-5)"},
+		// The minimum literals lex as their wrapped magnitude under a
+		// minus sign, and must print back that way to reparse the same.
+		{"-2147483648", "-2147483648"},
+		{"-9223372036854775808L", "-9223372036854775808L"},
+		{"-(-2147483648)", "-(-2147483648)"},
 	}
 	for _, tt := range tests {
 		src := "class A { int f(int a, int b, int c, int d, boolean x, int y, int z, int w, int v) { return " + tt.src + "; } void main() { } }"

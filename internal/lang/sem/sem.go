@@ -42,13 +42,7 @@ type Info struct {
 
 // Analyze resolves and type-checks prog, annotating the AST in place.
 func Analyze(prog *ast.Program) (*Info, error) {
-	c := &checker{
-		prog:    prog,
-		fields:  map[string]int{},
-		methods: map[string]int{},
-		info:    &Info{Prog: prog, Methods: map[string]*MethodInfo{}},
-	}
-	return c.run()
+	return analyze(prog, nil, nil)
 }
 
 // MustAnalyze is Analyze for programs known to be valid (synthesized
@@ -59,6 +53,25 @@ func MustAnalyze(prog *ast.Program) *Info {
 		panic(fmt.Sprintf("sem: internal program failed analysis: %v", err))
 	}
 	return info
+}
+
+// AnalyzeDelta re-analyzes only the methods named in changed, reusing
+// base's per-method results for everything else. It is the incremental
+// path for JoNM mutants: prog must share base.Prog's unchanged methods
+// (or clones of them that still carry the annotations written when
+// base was computed), and its divergence from the seed is limited to
+// what JoNM produces — edited method bodies and fields appended after
+// the seed's (never reordered, removed, or re-typed). Those structural
+// invariants are asserted, not assumed: a violation returns an error
+// instead of silently mis-analyzing.
+//
+// The result is identical to Analyze(prog): analysis visits methods
+// independently given the global field/method tables, so re-checking
+// only the changed bodies and adopting base's MethodInfo for untouched
+// ones reproduces the same Info and the same AST annotations, without
+// writing to any node shared with base.
+func AnalyzeDelta(prog *ast.Program, base *Info, changed map[string]bool) (*Info, error) {
+	return analyze(prog, base, changed)
 }
 
 type checker struct {
@@ -84,8 +97,23 @@ func (c *checker) errorf(pos ast.Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (c *checker) run() (*Info, error) {
-	cls := c.prog.Class
+// analyze is the one analysis driver; with no base (Analyze) it has
+// nothing to adopt and checks every field initializer and method.
+func analyze(prog *ast.Program, base *Info, changed map[string]bool) (*Info, error) {
+	c := &checker{
+		prog:    prog,
+		fields:  map[string]int{},
+		methods: map[string]int{},
+		info:    &Info{Prog: prog, Methods: map[string]*MethodInfo{}},
+	}
+	cls := prog.Class
+	seenFields := 0
+	if base != nil {
+		if err := c.checkStable(base.Prog.Class); err != nil {
+			return nil, err
+		}
+		seenFields = len(base.Prog.Class.Fields)
+	}
 	for i, f := range cls.Fields {
 		if _, dup := c.fields[f.Name]; dup {
 			return nil, c.errorf(f.Pos, "duplicate field %s", f.Name)
@@ -108,7 +136,7 @@ func (c *checker) run() (*Info, error) {
 
 	// Field initializers: constant-ish expressions only (no calls), so
 	// the synthetic <clinit> cannot recurse into program methods.
-	for _, f := range cls.Fields {
+	for _, f := range cls.Fields[seenFields:] {
 		if f.Init == nil {
 			continue
 		}
@@ -133,11 +161,44 @@ func (c *checker) run() (*Info, error) {
 	}
 
 	for i, m := range cls.Methods {
+		if base != nil && !changed[m.Name] {
+			bi := base.Methods[m.Name]
+			if bi == nil || bi.Index != i {
+				return nil, c.errorf(m.Pos, "delta analysis: base info missing or misindexed for %s", m.Name)
+			}
+			c.info.Methods[m.Name] = bi
+			continue
+		}
 		if err := c.checkMethod(i, m); err != nil {
 			return nil, err
 		}
 	}
 	return c.info, nil
+}
+
+// checkStable asserts the delta invariants against the base class: the
+// same methods in the same order, and the base's fields as a prefix
+// (the "indices are stable" contract the bytecode cache depends on).
+func (c *checker) checkStable(bcls *ast.Class) error {
+	cls := c.prog.Class
+	if len(cls.Methods) != len(bcls.Methods) {
+		return c.errorf(cls.Pos, "delta analysis: method count changed (%d -> %d)", len(bcls.Methods), len(cls.Methods))
+	}
+	for i, m := range cls.Methods {
+		if bcls.Methods[i].Name != m.Name {
+			return c.errorf(m.Pos, "delta analysis: method %d renamed (%s -> %s)", i, bcls.Methods[i].Name, m.Name)
+		}
+	}
+	if len(cls.Fields) < len(bcls.Fields) {
+		return c.errorf(cls.Pos, "delta analysis: fields removed (%d -> %d)", len(bcls.Fields), len(cls.Fields))
+	}
+	for i, bf := range bcls.Fields {
+		f := cls.Fields[i]
+		if f.Name != bf.Name || !f.Type.Equal(bf.Type) {
+			return c.errorf(f.Pos, "delta analysis: field %d changed (%s %s -> %s %s)", i, bf.Type, bf.Name, f.Type, f.Name)
+		}
+	}
+	return nil
 }
 
 func (c *checker) checkMethod(index int, m *ast.Method) error {

@@ -8,7 +8,7 @@ import (
 	"artemis/internal/lang/parser"
 )
 
-func analyze(t *testing.T, src string) (*Info, error) {
+func analyzeSrc(t *testing.T, src string) (*Info, error) {
 	t.Helper()
 	p, err := parser.Parse(src)
 	if err != nil {
@@ -21,7 +21,7 @@ func analyze(t *testing.T, src string) (*Info, error) {
 
 func mustAnalyze(t *testing.T, src string) *Info {
 	t.Helper()
-	info, err := analyze(t, src)
+	info, err := analyzeSrc(t, src)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestSemErrors(t *testing.T) {
 		{"assign to call", `class T { int f() { return 1; } void main() { f() = 3; } }`},
 	}
 	for _, tt := range bad {
-		if _, err := analyze(t, tt.src); err == nil {
+		if _, err := analyzeSrc(t, tt.src); err == nil {
 			t.Errorf("%s: expected error", tt.name)
 		}
 	}
@@ -164,7 +164,7 @@ func TestReachability(t *testing.T) {
 		`class T { int f(boolean b) { for (;;) { if (b) { return 1; } } } void main() { } }`,
 	}
 	for _, src := range good {
-		if _, err := analyze(t, src); err != nil {
+		if _, err := analyzeSrc(t, src); err != nil {
 			t.Errorf("%s: unexpected error %v", src, err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestReachability(t *testing.T) {
 		`class T { int f(boolean b) { while (b) { return 1; } } void main() { } }`,
 	}
 	for _, src := range bad {
-		if _, err := analyze(t, src); err == nil {
+		if _, err := analyzeSrc(t, src); err == nil {
 			t.Errorf("%s: expected missing-return error", src)
 		}
 	}
@@ -199,7 +199,7 @@ func TestSlotAllocationNoReuse(t *testing.T) {
 }
 
 func TestErrorMessagesMentionNames(t *testing.T) {
-	_, err := analyze(t, `class T { void main() { print(frobnicate); } }`)
+	_, err := analyzeSrc(t, `class T { void main() { print(frobnicate); } }`)
 	if err == nil || !strings.Contains(err.Error(), "frobnicate") {
 		t.Errorf("error %v should mention the undefined name", err)
 	}
@@ -209,4 +209,69 @@ func TestCaseLabelRange(t *testing.T) {
 	// Case labels beyond int range are rejected by the lexer/parser
 	// already; in-range big values are fine.
 	mustAnalyze(t, `class T { void main() { switch (1) { case 2147483647: break; } } }`)
+}
+
+// TestAnalyzeDeltaStructuralChecks: the incremental analysis asserts
+// that a mutant keeps its seed's methods and fields, and checks the
+// initializers of the fields it appends; each violation is an error,
+// not a silent mis-analysis. The mutant edits main, as JoNM would.
+func TestAnalyzeDeltaStructuralChecks(t *testing.T) {
+	const seed = `class T {
+        int a = 1;
+        long b;
+        int f(int x) { return x + a; }
+        void main() { print(f(2)); }
+    }`
+	tests := []struct{ name, src, want string }{
+		{"valid", `class T {
+            int a = 1; long b; int c = 3;
+            int f(int x) { return x + a; }
+            void main() { print(f(c)); }
+        }`, ""},
+		{"method added", `class T {
+            int a = 1; long b;
+            int f(int x) { return x + a; }
+            int g() { return 0; }
+            void main() { print(f(2)); }
+        }`, "method count changed (2 -> 3)"},
+		{"method renamed", `class T {
+            int a = 1; long b;
+            int h(int x) { return x + a; }
+            void main() { print(h(2)); }
+        }`, "method 0 renamed (f -> h)"},
+		{"field removed", `class T {
+            int a = 1;
+            int f(int x) { return x + a; }
+            void main() { print(f(2)); }
+        }`, "fields removed (2 -> 1)"},
+		{"field renamed", `class T {
+            int a = 1; long c;
+            int f(int x) { return x + a; }
+            void main() { print(f(2)); }
+        }`, "field 1 changed (long b -> long c)"},
+		{"field retyped", `class T {
+            int a = 1; int b;
+            int f(int x) { return x + a; }
+            void main() { print(f(2)); }
+        }`, "field 1 changed (long b -> int b)"},
+		{"appended initializer calls", `class T {
+            int a = 1; long b; int c = f(1);
+            int f(int x) { return x + a; }
+            void main() { print(f(c)); }
+        }`, "field initializer for c may not call methods"},
+	}
+	base := mustAnalyze(t, seed)
+	for _, tt := range tests {
+		prog, err := parser.Parse(tt.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		_, err = AnalyzeDelta(prog, base, map[string]bool{"main": true})
+		switch {
+		case tt.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tt.name, err)
+		case tt.want != "" && (err == nil || !strings.Contains(err.Error(), tt.want)):
+			t.Errorf("%s: error %v, want %q", tt.name, err, tt.want)
+		}
+	}
 }

@@ -55,8 +55,8 @@ func barrierCrash(p *ast.Program, stop *atomic.Bool) bool {
 		JIT:        jit.New(jit.Options{MaxTier: 2, Bugs: bugs.NewSet("oj-gc-barrier")}),
 		GCInterval: 64,
 		Policy: &vm.ForcedPolicy{
-			Tier:   2,
-			Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+			Tier:    2,
+			Compile: func(string, int64) bool { return true },
 		},
 	}
 	return run(cfg, p, stop).Term == vm.TermCrash

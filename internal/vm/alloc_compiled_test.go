@@ -40,8 +40,8 @@ func TestCompiledCallAllocations(t *testing.T) {
 			return vm.Run(vm.Config{
 				JIT: jit.New(jit.Options{MaxTier: 2}),
 				Policy: &vm.ForcedPolicy{
-					Tier:   2,
-					Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+					Tier:    2,
+					Compile: func(string, int64) bool { return true },
 				},
 			}, bp)
 		}

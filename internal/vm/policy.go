@@ -76,58 +76,31 @@ func (p *CounterPolicy) OnBackEdge(st *MethodState, loopID int) Decision {
 	return Decision{Action: ActCompile, Tier: tier}
 }
 
-// ForceChoice says how one specific method must execute.
-type ForceChoice int
-
-const (
-	ForceDefault   ForceChoice = iota // interpret
-	ForceInterpret                    // always interpret
-	ForceCompile                      // always run compiled code
-)
-
 // ForcedPolicy grants complete control over the interleaving between
-// interpretation and compilation: per method, or per (method, call
-// index) via Choice. It is used to enumerate compilation spaces
-// exhaustively (Figure 1) and by the "traditional approach" baseline
-// (-Xjit:count=0 in Section 4.3, i.e. ForceCompile for everything).
+// interpretation and compilation: Compile decides, per method and per
+// dynamic call, whether the call runs compiled code. It is used to
+// enumerate compilation spaces exhaustively (Figure 1) and by the
+// "traditional approach" baseline (-Xjit:count=0 in Section 4.3, i.e.
+// compile every call).
 type ForcedPolicy struct {
 	// Tier used for forced compilations (defaults to 1 when zero).
 	Tier int
-	// Methods maps method name to a fixed choice.
-	Methods map[string]ForceChoice
-	// Choice, when non-nil, decides per dynamic call (callIndex is
-	// 1-based); it overrides Methods.
-	Choice func(method string, callIndex int64) ForceChoice
-}
-
-func (p *ForcedPolicy) tier() int {
-	if p.Tier <= 0 {
-		return 1
-	}
-	return p.Tier
-}
-
-func (p *ForcedPolicy) choiceFor(st *MethodState) ForceChoice {
-	if p.Choice != nil {
-		if c := p.Choice(st.Name, st.Counters.Invocations); c != ForceDefault {
-			return c
-		}
-	}
-	if p.Methods != nil {
-		return p.Methods[st.Name]
-	}
-	return ForceDefault
+	// Compile reports whether a call runs compiled code (callIndex is
+	// 1-based and counts the method's calls); nil interprets every
+	// call.
+	Compile func(method string, callIndex int64) bool
 }
 
 // OnEntry implements Policy.
 func (p *ForcedPolicy) OnEntry(st *MethodState) Decision {
-	switch p.choiceFor(st) {
-	case ForceInterpret:
+	if p.Compile == nil || !p.Compile(st.Name, st.Counters.Invocations) {
 		return Decision{Action: ActInterpret}
-	case ForceCompile:
-		return Decision{Action: ActCompile, Tier: p.tier()}
 	}
-	return Decision{Action: ActInterpret}
+	tier := p.Tier
+	if tier <= 0 {
+		tier = 1
+	}
+	return Decision{Action: ActCompile, Tier: tier}
 }
 
 // OnBackEdge implements Policy: forced runs never OSR-compile, so a

@@ -50,18 +50,23 @@ func TestCounterPolicyBackEdge(t *testing.T) {
 
 func TestForcedPolicy(t *testing.T) {
 	st := &MethodState{Name: "f"}
-	p := &ForcedPolicy{Methods: map[string]ForceChoice{"f": ForceCompile}}
+	onlyF := func(m string, _ int64) bool { return m == "f" }
+	p := &ForcedPolicy{Compile: onlyF}
 	if d := p.OnEntry(st); d.Action != ActCompile || d.Tier != 1 {
 		t.Errorf("forced compile: %+v", d)
 	}
-	p2 := &ForcedPolicy{Tier: 2, Methods: map[string]ForceChoice{"f": ForceInterpret}}
-	if d := p2.OnEntry(st); d.Action != ActInterpret {
-		t.Errorf("forced interpret: %+v", d)
+	p2 := &ForcedPolicy{Tier: 2, Compile: onlyF}
+	if d := p2.OnEntry(st); d.Action != ActCompile || d.Tier != 2 {
+		t.Errorf("forced compile at tier 2: %+v", d)
 	}
-	// Unlisted methods default to interpret.
+	// Methods the predicate rejects interpret, and so does every call
+	// without a predicate.
 	other := &MethodState{Name: "g"}
 	if d := p.OnEntry(other); d.Action != ActInterpret {
-		t.Errorf("default: %+v", d)
+		t.Errorf("rejected method: %+v", d)
+	}
+	if d := (&ForcedPolicy{Tier: 2}).OnEntry(st); d.Action != ActInterpret {
+		t.Errorf("nil predicate: %+v", d)
 	}
 	// Forced runs never OSR-compile: even a force-compiled method's
 	// hot loop keeps interpreting at its back edges.
@@ -70,13 +75,8 @@ func TestForcedPolicy(t *testing.T) {
 	if d := p.OnBackEdge(st, 0); d.Action != ActInterpret {
 		t.Errorf("hot back edge of a forced method: %+v", d)
 	}
-	// Per-call choice overrides.
-	p3 := &ForcedPolicy{Choice: func(m string, call int64) ForceChoice {
-		if call%2 == 0 {
-			return ForceCompile
-		}
-		return ForceInterpret
-	}}
+	// The predicate sees the 1-based call index.
+	p3 := &ForcedPolicy{Compile: func(m string, call int64) bool { return call%2 == 0 }}
 	st.Counters.Invocations = 2
 	if d := p3.OnEntry(st); d.Action != ActCompile {
 		t.Errorf("even call: %+v", d)

@@ -30,8 +30,8 @@ func stopConfigs() map[string]vm.Config {
 		return vm.Config{
 			JIT: jit.New(jit.Options{MaxTier: 2, Bugs: set}),
 			Policy: &vm.ForcedPolicy{
-				Tier:   2,
-				Choice: func(string, int64) vm.ForceChoice { return vm.ForceCompile },
+				Tier:    2,
+				Compile: func(string, int64) bool { return true },
 			},
 		}
 	}

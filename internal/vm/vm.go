@@ -38,8 +38,6 @@ type Config struct {
 	// disabled path costs one nil check per compilation/deopt/GC event
 	// and nothing per interpreted step.
 	CollectStats bool
-	// TraceLimit caps recorded vectors (default 4096).
-	TraceLimit int
 	// MaxOutputLines caps retained print lines (default 256); the
 	// rolling hash always covers everything.
 	MaxOutputLines int
@@ -73,6 +71,9 @@ const (
 	// deoptLimit disables speculation for a method after this many
 	// deopts.
 	deoptLimit = 4
+	// traceLimit caps the temperature vectors a JIT trace retains; its
+	// key and MaxTemp still cover every call.
+	traceLimit = 4096
 )
 
 func (c Config) withDefaults() Config {
@@ -84,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StepLimit == 0 {
 		c.StepLimit = 200_000_000
-	}
-	if c.TraceLimit == 0 {
-		c.TraceLimit = 4096
 	}
 	if c.MaxOutputLines == 0 {
 		c.MaxOutputLines = 256
@@ -200,7 +198,7 @@ func New(cfg Config, prog *bytecode.Program) *VM {
 		vm.checkAt = min(StopPoll, cfg.StepLimit)
 	}
 	if cfg.RecordTrace {
-		vm.trace = newJITTrace(cfg.TraceLimit)
+		vm.trace = newJITTrace(traceLimit)
 	}
 	if cfg.CollectStats {
 		vm.stats = &ExecStats{}
