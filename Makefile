@@ -79,7 +79,7 @@ bench:
 # and of the blame localization, which fails unless it localizes.
 bench-smoke:
 	$(GO) test -run '^$$' -benchtime 1x -timeout $(TIMEOUT) \
-		-bench '^Benchmark(MutateCompile|Interpreter|TieredExecution|CompiledExecutor|JITCompileTier2|SeedGeneration|BlameGCMStoreSink)$$' \
+		-bench '^Benchmark(MutateCompile|Interpreter|TieredExecution|CompiledExecutor|CompiledExecutorTier1|JITCompileTier2|SeedGeneration|BlameGCMStoreSink)$$' \
 		. ./internal/blame/
 
 # Campaign golden gate: one short untraced run of every campaignbench

@@ -533,6 +533,51 @@ func BenchmarkCompiledExecutor(b *testing.B) {
 	b.ReportMetric(float64(steps), "steps/run")
 }
 
+// branchLoopSrc runs a hot loop whose locals cross if/else joins, most
+// of them unchanged on each arm, and whose conditions compare with
+// constants: the shape of the hottest tier-1 code in artlike
+// campaigns. Each join resolves one redundant phi per local: those of
+// the parameter n share its slot, while those of the loop-carried
+// locals stand for the loop header's phis and keep their own.
+const branchLoopSrc = `class T {
+    int run(int n) {
+        int a = 1; int b = 2; int c = 3; int d = 4;
+        for (int i = 0; i < n; i++) {
+            if (i % 4 == 1) { a = a + i; } else { b = b ^ i; }
+            if (b > 1000) { c = c + 1; b = b - 999; }
+            if (a >= 50000) { d = d + (a >> 3); a = 7; }
+        }
+        return a + b + c + d;
+    }
+    void main() { print(run(100000)); }
+}`
+
+// BenchmarkCompiledExecutorTier1 measures the compiled-code executor on
+// branchLoopSrc forced through artlike's only tier, with a reused
+// Scratch as in campaigns; steps/run pins the work measured.
+func BenchmarkCompiledExecutorTier1(b *testing.B) {
+	prog, err := parser.Parse(branchLoopSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bp := harness.Compile(prog)
+	prof := mustProfile(b, "artlike")
+	scratch := &vm.Scratch{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		cfg := prof.VMConfig(false)
+		cfg.Scratch = scratch
+		cfg.Policy = &vm.ForcedPolicy{
+			Tier:    1,
+			Compile: func(string, int64) bool { return true },
+		}
+		steps = vm.Run(cfg, bp).Steps
+	}
+	b.ReportMetric(float64(steps), "steps/run")
+}
+
 // BenchmarkJITCompileTier2 measures optimizing-tier compilation
 // latency on a fuzzed method corpus.
 func BenchmarkJITCompileTier2(b *testing.B) {

@@ -11,12 +11,16 @@ import (
 // The machine model: compiled code runs on a flat frame of int64 slots
 // ("registers"). The allocator assigns one frame slot per virtual
 // register — a simple but valid allocation; the injected register-
-// allocator defects alias or overflow these assignments.
+// allocator defects alias or overflow these assignments, and redundant
+// phis then share the slot of the value they stand for.
 //
-// Machine code is a slice of packed 24-byte words (minstr). The few
-// operands that do not fit a word live in side tables on the Code —
-// call argument slots, switch tables and deopt recipes — and the word
-// holds their index.
+// lower emits reference code, one machine instruction per word, whose
+// count fixes the step schedule; pack (pack.go) then turns it into the
+// packed words the executor runs, each weighted with the number of
+// reference instructions it stands for. The few operands that do not
+// fit a word live in side tables on the Code — call argument slots,
+// switch tables, deopt recipes and group moves — and the word holds
+// their index.
 
 type mop uint8
 
@@ -24,9 +28,11 @@ const (
 	mLdi   mop = iota // R[d] = imm
 	mLdArg            // R[d] = args[imm] (prologue)
 	mMov              // R[d] = R[a]
-	// mGroup heads a move group: the next imm words are mMov and mLdi,
-	// dispatched as one unit that counts as imm instructions.
+	// mGroup performs the moves pairs[a:b] in order; mGroupJmp then
+	// jumps to imm. A constant load is a move from the constant area
+	// past the frame's scanned slots.
 	mGroup
+	mGroupJmp
 
 	// Non-trapping binary operators, R[d] = R[a] op R[b]. Each int
 	// (32-bit wrapping) opcode is directly followed by its long twin.
@@ -67,6 +73,38 @@ const (
 	mCmpLE
 	mCmpGT
 	mCmpGE
+	// K-forms fuse a constant load into the operator that consumes it:
+	// R[b] = imm, then the base operation (kForms). Only the operators
+	// that consume a measurable share of constant loads have one.
+	mAddIK
+	mAddLK
+	mSubIK
+	mMulIK
+	mMulLK
+	mAndIK
+	mAndLK
+	mOrIK
+	mOrLK
+	mXorIK
+	mXorLK
+	mShlLK
+	mShrIK
+	mUshrIK
+	mUshrLK
+	// Compare and branch: R[d] = R[a] cond R[b]; if true -> imm>>32.
+	mBrEQ
+	mBrNE
+	mBrLT
+	mBrLE
+	mBrGT
+	mBrGE
+	// The same after R[b] = int32(imm), the constant load it fuses.
+	mBrEQK
+	mBrNEK
+	mBrLTK
+	mBrLEK
+	mBrGTK
+	mBrGEK
 	mGetF    // R[d] = field[imm]
 	mPutF    // field[imm] = R[a]
 	mNewArr  // R[d] = new ast.Kind(imm)[R[a]]
@@ -131,7 +169,7 @@ func (op mop) regFields() (d, a, b bool) {
 		return true, true, false
 	case mPutF, mPrint, mBr, mSwitch, mGuard, mRet:
 		return false, true, false
-	case mJmp, mRetVoid, mGroup, mEnd:
+	case mJmp, mRetVoid, mGroup, mGroupJmp, mEnd:
 		return false, false, false
 	}
 	return true, true, true // binary operators, compares, array loads and stores
@@ -156,13 +194,18 @@ type deoptSite struct {
 	stack  []loc
 }
 
-// minstr is one packed machine instruction: an opcode, three 32-bit
-// operands and a 64-bit immediate.
+// minstr is one packed machine word: an opcode, its weight, three
+// 32-bit operands and a 64-bit immediate. The weight is the number of
+// reference instructions the word stands for (1 in reference code).
 type minstr struct {
 	op      mop
+	w       uint16
 	d, a, b int32
 	imm     int64
 }
+
+// mpair is one move of a group: R[d] = R[a].
+type mpair struct{ d, a int32 }
 
 // Code is one compiled method body. It implements vm.CompiledCode via
 // the executor in machine.go.
@@ -172,13 +215,18 @@ type Code struct {
 	osr       bool
 	frameSize int
 	ins       []minstr
-	// size is the instruction count before move grouping (Size).
+	// size is the reference instruction count, the sum of the words'
+	// weights (Size).
 	size int
 	// Side tables for operands that do not fit a word.
 	callRegs []int32 // argument slots of every mCall
 	maxArgs  int     // the most arguments any mCall passes
 	switches []mswitch
 	deopts   []deoptSite
+	pairs    []mpair // the moves of every group
+	// consts is the constant area: frame slots frameSize+i hold
+	// consts[i] for group moves to read. The collector does not scan it.
+	consts []int64
 	// free holds the frames of finished activations for reuse. Each
 	// Code belongs to the one VM that compiled it, so it needs no lock.
 	free []*frameBuf
@@ -204,13 +252,15 @@ func (c *Code) Tier() int { return c.tier }
 // IsOSR implements vm.CompiledCode.
 func (c *Code) IsOSR() bool { return c.osr }
 
-// Size implements vm.CompiledCode.
+// Size implements vm.CompiledCode: the reference instruction count.
 func (c *Code) Size() int { return c.size }
 
 // CompileStats implements vm.CompileStatsProvider.
 func (c *Code) CompileStats() *vm.CompileStats { return c.stats }
 
-// lower translates SSA to machine code.
+// lower translates SSA to reference machine code, then lets each
+// redundant phi share the slot of the value it stands for where that is
+// exact (shareRedundantPhis).
 func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 	f.SplitCriticalEdges()
 	f.ComputeUses()
@@ -298,6 +348,7 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 	var patches []patch
 
 	emit := func(in minstr) int {
+		in.w = 1
 		c.ins = append(c.ins, in)
 		return len(c.ins) - 1
 	}
@@ -621,56 +672,6 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 			}
 		}
 	}
-	c.groupMoves()
+	c.shareRedundantPhis(f, order, reg)
 	return c
-}
-
-// groupMoves puts an mGroup head before each maximal run of at least two
-// mMov/mLdi words, so the executor dispatches the run once. A run never
-// continues past a jump target, so jumps land only on a run's head.
-// Jump and switch targets are remapped in order, so a back edge still
-// targets an index at or below its own. An mEnd word closes the code.
-func (c *Code) groupMoves() {
-	isMove := func(op mop) bool { return op == mMov || op == mLdi }
-	target := make([]bool, len(c.ins)+1)
-	for _, in := range c.ins {
-		if in.op == mJmp || in.op == mBr {
-			target[in.imm] = true
-		}
-	}
-	for _, sw := range c.switches {
-		target[sw.deflt] = true
-		for _, t := range sw.targets {
-			target[t] = true
-		}
-	}
-	at := make([]int, len(c.ins)+1) // unfused index -> grouped index
-	out := make([]minstr, 0, len(c.ins)+len(c.ins)/8+1)
-	for i := 0; i < len(c.ins); {
-		j := i + 1
-		for isMove(c.ins[i].op) && j < len(c.ins) && isMove(c.ins[j].op) && !target[j] {
-			j++
-		}
-		at[i] = len(out)
-		if j-i >= 2 {
-			out = append(out, minstr{op: mGroup, imm: int64(j - i)})
-		}
-		out = append(out, c.ins[i:j]...)
-		i = j
-	}
-	at[len(c.ins)] = len(out)
-	out = append(out, minstr{op: mEnd})
-	for k := range out {
-		if out[k].op == mJmp || out[k].op == mBr {
-			out[k].imm = int64(at[out[k].imm])
-		}
-	}
-	for s := range c.switches {
-		sw := &c.switches[s]
-		sw.deflt = at[sw.deflt]
-		for k, t := range sw.targets {
-			sw.targets[k] = at[t]
-		}
-	}
-	c.ins = out
 }

@@ -87,6 +87,21 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 		}
 	}()
 
+	out, passOpts := c.reference(req)
+	out.pack()
+	out.stats = &vm.CompileStats{
+		Tier:       out.Tier(),
+		OSR:        out.IsOSR(),
+		OptsByPass: passOpts,
+		Nanos:      time.Since(start).Nanoseconds(),
+	}
+	return out, nil
+}
+
+// reference builds, optimizes and lowers the requested method to reference
+// code, returning it with the per-pass optimization counts. Seeded
+// compiler crashes panic with a compilerCrash, which Compile recovers.
+func (c *Compiler) reference(req vm.CompileRequest) (*Code, map[string]int64) {
 	bugSet := c.opts.Bugs
 	tier := req.Tier
 	if tier > c.opts.MaxTier {
@@ -154,12 +169,5 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 		shapeChecks(f, bugSet)
 	}
 
-	out := lower(f, tier, bugSet)
-	out.stats = &vm.CompileStats{
-		Tier:       out.Tier(),
-		OSR:        out.IsOSR(),
-		OptsByPass: passOpts,
-		Nanos:      time.Since(start).Nanoseconds(),
-	}
-	return out, nil
+	return lower(f, tier, bugSet), passOpts
 }

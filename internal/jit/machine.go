@@ -8,8 +8,8 @@ import (
 	"artemis/internal/vm"
 )
 
-// chargeEvery is how many machine instructions compiled code executes
-// per step charge.
+// chargeEvery is how many reference instructions compiled code
+// executes per step charge.
 const chargeEvery = 64
 
 // frameBuf is the storage of one compiled activation. A Code keeps the
@@ -17,6 +17,7 @@ const chargeEvery = 64
 // scanner bound to it once, so a compiled call allocates nothing in the
 // steady state.
 type frameBuf struct {
+	// slots is the frame, followed by the Code's constant area.
 	slots []int64
 	// args holds outgoing call arguments. Like the per-call slices it
 	// replaces it is not a GC root: a callee copies its arguments into
@@ -32,12 +33,14 @@ func (c *Code) takeFrame() *frameBuf {
 		c.free = c.free[:n-1]
 		// The conservative GC scans every slot, so a reused frame must
 		// hold what a fresh one would: zeros, not stale handles.
-		clear(f.slots)
+		clear(f.slots[:c.frameSize])
 		return f
 	}
-	f := &frameBuf{slots: make([]int64, c.frameSize), args: make([]int64, c.maxArgs)}
+	f := &frameBuf{slots: make([]int64, c.frameSize+len(c.consts)), args: make([]int64, c.maxArgs)}
+	copy(f.slots[c.frameSize:], c.consts)
+	roots := f.slots[:c.frameSize]
 	f.scan = func(yield func(int64)) {
-		for _, v := range f.slots {
+		for _, v := range roots {
 			yield(v)
 		}
 	}
@@ -61,12 +64,12 @@ func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
 
 // exec is Run's dispatch loop over frame f.
 func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
-	frame, ins := f.slots, c.ins
+	frame, ins, pairs := f.slots, c.ins, c.pairs
 	var backedges int64
 	pc := 0
 
 	// Compiled code runs faster than interpretation: it charges
-	// stepCost abstract steps before the 64th, 128th, ... machine
+	// stepCost abstract steps before the 64th, 128th, ... reference
 	// instruction of each invocation. The hs-perf-osr-storm defect
 	// instead re-enters the runtime constantly, making compiled code
 	// far more expensive than interpretation — the paper's
@@ -75,39 +78,38 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 	if c.execBugs.perfStorm {
 		stepCost = 640
 	}
-	// until counts the instructions up to and including the next
-	// charged one.
+	// until counts the reference instructions up to and including the
+	// next charged one.
 	until := chargeEvery
 
 	for {
 		in := &ins[pc]
-		if until--; until == 0 {
-			until = chargeEvery
-			if uw := env.Step(stepCost); uw != nil {
-				return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
-			}
-		}
-		switch in.op {
-		case mGroup:
-			// A group of n moves counts as n instructions. The charges
-			// that fall on its last n-1 are made here, before its first
-			// move: moves only write frame slots and Step only counts,
-			// so every env call sees the same arguments and frame.
-			n := int(in.imm)
-			for until -= n - 1; until <= 0; until += chargeEvery {
+		// A word stands for w reference instructions. The charges that
+		// fall on any of them are made here, before the word's first
+		// effect: everything a word does before its last reference
+		// instruction only writes frame slots, and Step only counts,
+		// so every env call sees the same arguments and frame.
+		if until -= int(in.w); until <= 0 {
+			for ; until <= 0; until += chargeEvery {
 				if uw := env.Step(stepCost); uw != nil {
 					return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
 				}
 			}
-			moves := ins[pc+1 : pc+1+n]
-			for i := range moves {
-				if m := &moves[i]; m.op == mMov {
-					frame[m.d] = frame[m.a]
-				} else {
-					frame[m.d] = m.imm
-				}
+		}
+		switch in.op {
+		case mGroup:
+			for _, m := range pairs[in.a:in.b] {
+				frame[m.d] = frame[m.a]
 			}
-			pc += n + 1
+		case mGroupJmp:
+			for _, m := range pairs[in.a:in.b] {
+				frame[m.d] = frame[m.a]
+			}
+			t := int(in.imm)
+			if t <= pc {
+				backedges++
+			}
+			pc = t
 			continue
 		case mLdi:
 			frame[in.d] = in.imm
@@ -117,41 +119,87 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			frame[in.d] = frame[in.a]
 		// The int operators truncate both operands exactly as
 		// vm.EvalBinary does: under oj-cg-l2i-skip a slot can hold a
-		// value wider than 32 bits.
+		// value wider than 32 bits. A K-form first stores its constant
+		// in the slot reference code loads it into.
+		case mAddIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mAddI:
 			frame[in.d] = int64(int32(frame[in.a]) + int32(frame[in.b]))
+		case mAddLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mAddL:
 			frame[in.d] = frame[in.a] + frame[in.b]
+		case mSubIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mSubI:
 			frame[in.d] = int64(int32(frame[in.a]) - int32(frame[in.b]))
 		case mSubL:
 			frame[in.d] = frame[in.a] - frame[in.b]
+		case mMulIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mMulI:
 			frame[in.d] = int64(int32(frame[in.a]) * int32(frame[in.b]))
+		case mMulLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mMulL:
 			frame[in.d] = frame[in.a] * frame[in.b]
+		case mAndIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mAndI:
 			frame[in.d] = int64(int32(frame[in.a]) & int32(frame[in.b]))
+		case mAndLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mAndL:
 			frame[in.d] = frame[in.a] & frame[in.b]
+		case mOrIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mOrI:
 			frame[in.d] = int64(int32(frame[in.a]) | int32(frame[in.b]))
+		case mOrLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mOrL:
 			frame[in.d] = frame[in.a] | frame[in.b]
+		case mXorIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mXorI:
 			frame[in.d] = int64(int32(frame[in.a]) ^ int32(frame[in.b]))
+		case mXorLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mXorL:
 			frame[in.d] = frame[in.a] ^ frame[in.b]
 		case mShlI:
 			frame[in.d] = int64(int32(frame[in.a]) << (uint32(frame[in.b]) & 31))
+		case mShlLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mShlL:
 			frame[in.d] = frame[in.a] << (uint64(frame[in.b]) & 63)
+		case mShrIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mShrI:
 			frame[in.d] = int64(int32(frame[in.a]) >> (uint32(frame[in.b]) & 31))
 		case mShrL:
 			frame[in.d] = frame[in.a] >> (uint64(frame[in.b]) & 63)
+		case mUshrIK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mUshrI:
 			frame[in.d] = int64(int32(uint32(frame[in.a]) >> (uint32(frame[in.b]) & 31)))
+		case mUshrLK:
+			frame[in.b] = in.imm
+			fallthrough
 		case mUshrL:
 			frame[in.d] = int64(uint64(frame[in.a]) >> (uint64(frame[in.b]) & 63))
 		case mUshrL32:
@@ -185,6 +233,57 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			frame[in.d] = b2i(frame[in.a] > frame[in.b])
 		case mCmpGE:
 			frame[in.d] = b2i(frame[in.a] >= frame[in.b])
+		// Compare and branch: the compare's slot is written as in
+		// reference code, and the target is imm's upper half, whose
+		// lower half holds a K-form's constant.
+		case mBrEQK:
+			frame[in.b] = int64(int32(in.imm))
+			fallthrough
+		case mBrEQ:
+			if frame[in.d] = b2i(frame[in.a] == frame[in.b]); frame[in.d] != 0 {
+				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				continue
+			}
+		case mBrNEK:
+			frame[in.b] = int64(int32(in.imm))
+			fallthrough
+		case mBrNE:
+			if frame[in.d] = b2i(frame[in.a] != frame[in.b]); frame[in.d] != 0 {
+				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				continue
+			}
+		case mBrLTK:
+			frame[in.b] = int64(int32(in.imm))
+			fallthrough
+		case mBrLT:
+			if frame[in.d] = b2i(frame[in.a] < frame[in.b]); frame[in.d] != 0 {
+				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				continue
+			}
+		case mBrLEK:
+			frame[in.b] = int64(int32(in.imm))
+			fallthrough
+		case mBrLE:
+			if frame[in.d] = b2i(frame[in.a] <= frame[in.b]); frame[in.d] != 0 {
+				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				continue
+			}
+		case mBrGTK:
+			frame[in.b] = int64(int32(in.imm))
+			fallthrough
+		case mBrGT:
+			if frame[in.d] = b2i(frame[in.a] > frame[in.b]); frame[in.d] != 0 {
+				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				continue
+			}
+		case mBrGEK:
+			frame[in.b] = int64(int32(in.imm))
+			fallthrough
+		case mBrGE:
+			if frame[in.d] = b2i(frame[in.a] >= frame[in.b]); frame[in.d] != 0 {
+				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				continue
+			}
 		case mGetF:
 			frame[in.d] = env.GetField(int(in.imm))
 		case mPutF:
@@ -240,19 +339,11 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		case mPrint:
 			env.Print(ast.Kind(in.imm), frame[in.a])
 		case mJmp:
-			t := int(in.imm)
-			if t <= pc {
-				backedges++
-			}
-			pc = t
+			pc, backedges = branch(pc, int(in.imm), backedges)
 			continue
 		case mBr:
 			if frame[in.a] != 0 {
-				t := int(in.imm)
-				if t <= pc {
-					backedges++
-				}
-				pc = t
+				pc, backedges = branch(pc, int(in.imm), backedges)
 				continue
 			}
 		case mSwitch:
@@ -265,10 +356,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 					break
 				}
 			}
-			if t <= pc {
-				backedges++
-			}
-			pc = t
+			pc, backedges = branch(pc, t, backedges)
 			continue
 		case mGuard:
 			if frame[in.a] != in.imm {
@@ -279,13 +367,22 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		case mRetVoid:
 			return vm.ExecResult{Kind: vm.ExecReturn, Backedges: backedges}
 		case mEnd:
-			// The pc of a fall-off is the unfused instruction count.
+			// The pc of a fall-off is the reference instruction count.
 			panic(fmt.Sprintf("SIGSEGV: fell off compiled code of %s (pc %d)", c.name, c.size))
 		default:
 			panic(fmt.Sprintf("jit: machine op %d", in.op))
 		}
 		pc++
 	}
+}
+
+// branch returns jump target t of the word at pc and the back-edge
+// count, which it increments when t is not ahead of pc.
+func branch(pc, t int, backedges int64) (int, int64) {
+	if t <= pc {
+		backedges++
+	}
+	return t, backedges
 }
 
 func b2i(b bool) int64 {

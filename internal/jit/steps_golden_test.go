@@ -143,13 +143,13 @@ func longestMoveRun(t *testing.T, bp *bytecode.Program, name string) int {
 	if cerr != nil {
 		t.Fatalf("compile %s: %s", name, cerr.Msg)
 	}
-	best, run := 0, 0
+	best := 0
 	for _, in := range code.(*Code).ins {
-		if in.op == mMov || in.op == mLdi {
-			run++
-			best = max(best, run)
-		} else {
-			run = 0
+		switch in.op {
+		case mGroup:
+			best = max(best, int(in.w))
+		case mGroupJmp:
+			best = max(best, int(in.w)-1)
 		}
 	}
 	return best

@@ -80,7 +80,9 @@ type CompiledCode interface {
 	// IsOSR reports whether this is an on-stack-replacement entry
 	// compiled for a specific loop.
 	IsOSR() bool
-	// Size returns the number of machine instructions (for stats).
+	// Size returns the reference instruction count: the instructions
+	// the step charge counts and jit.code_instrs sums, not the number
+	// of packed words the executor dispatches.
 	Size() int
 }
 
