@@ -43,19 +43,23 @@ blame-smoke:
 
 # Fuzz smoke: 20 s of native fuzzing of the bytecode verifier
 # (internal/bytecode FuzzVerify), 10 s of the front end (internal/bytecode
-# FuzzFrontEnd) and 10 s of journal recovery (internal/journal
-# FuzzRecover). Verification must never panic, and every program it
-# accepts must run on the interpreter without a Go runtime fault; the
-# parser must never panic, printing what it parses must reparse to the
-# same text, and every analyzed program must compile, verify and
-# delta-compile to the same code; recovery must never panic, and
-# re-framing what it recovers must reproduce the intact prefix byte for
-# byte. FuzzFrontEnd skips minimizing new inputs, which can stall a
-# short run for most of its time. `go test ./...` replays only the
-# checked-in corpora.
+# FuzzFrontEnd), 10 s of the JIT (internal/jit FuzzJIT) and 10 s of
+# journal recovery (internal/journal FuzzRecover). Verification must
+# never panic, and every program it accepts must run on the interpreter
+# without a Go runtime fault; the parser must never panic, printing what
+# it parses must reparse to the same text, and every analyzed program
+# must compile, verify and delta-compile to the same code; every regular
+# and OSR compile at tiers 1 and 2 must pass the IR validator without a
+# panic or error (an OSR entry at an unreachable loop fails benignly),
+# and forced tier-1 and tier-2 runs must print what the interpreter
+# prints; recovery must never panic, and re-framing what it recovers
+# must reproduce the intact prefix byte for byte. FuzzFrontEnd and
+# FuzzJIT skip minimizing new inputs, which can stall a short run for
+# most of its time. `go test ./...` replays only the checked-in corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime 20s ./internal/bytecode/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/bytecode/
+	$(GO) test -run '^$$' -fuzz '^FuzzJIT$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/jit/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/journal/
 
 # Resume-determinism gate: interrupt+resume must be byte-identical to

@@ -50,8 +50,11 @@ func TestOutputMatchesSequentialReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet()}
-	want, ok := reduce.ReduceChecked(prog, kc.Diff(), reduce.Options{MaxRounds: 12})
+	diff, err := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet()}.TestForMode("diff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := reduce.ReduceChecked(prog, diff.Predicate(), reduce.Options{MaxRounds: 12})
 	if !ok {
 		t.Fatal("the GCM reproducer no longer shows a discrepancy on hotspotlike")
 	}

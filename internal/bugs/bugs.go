@@ -128,16 +128,6 @@ var Catalog = []Info{
 		"compiled array-clear intrinsic overruns by one word on 8-aligned lengths"},
 }
 
-// ByID returns metadata for a bug id.
-func ByID(id string) (Info, bool) {
-	for _, b := range Catalog {
-		if b.ID == id {
-			return b, true
-		}
-	}
-	return Info{}, false
-}
-
 // Set is an enabled-bug set, keyed by bug ID.
 type Set map[string]bool
 

@@ -70,10 +70,10 @@ func TestSets(t *testing.T) {
 			t.Errorf("SetForJVM missing %s", b.ID)
 		}
 	}
-	if _, ok := ByID("hs-gcm-store-sink"); !ok {
+	if !hs.Has("hs-gcm-store-sink") {
 		t.Error("flagship bug missing from catalog")
 	}
-	if _, ok := ByID("nonexistent"); ok {
-		t.Error("ByID invented a bug")
+	if hs.Has("nonexistent") {
+		t.Error("SetForJVM invented a bug")
 	}
 }

@@ -22,30 +22,24 @@ import (
 type Options struct {
 	// Seed drives the deterministic RNG.
 	Seed int64
-	// MaxMethods bounds helper methods (default 5).
-	MaxMethods int
 	// StmtBudget bounds total generated statements (default 90).
 	StmtBudget int
-	// PrintProb is the probability of a print statement inside bodies
-	// (default 0.08). main always prints a field/array summary.
-	PrintProb float64
-	// RawDivProb is the probability a division is left unguarded and
-	// may throw ArithmeticException (default 0.02).
-	RawDivProb float64
 }
 
+const (
+	// maxMethods bounds helper methods.
+	maxMethods = 5
+	// printProb is the probability of a print statement inside
+	// bodies. main always prints a field/array summary.
+	printProb = 0.08
+	// rawDivProb is the probability a division is left unguarded and
+	// may throw ArithmeticException.
+	rawDivProb = 0.02
+)
+
 func (o Options) withDefaults() Options {
-	if o.MaxMethods == 0 {
-		o.MaxMethods = 5
-	}
 	if o.StmtBudget == 0 {
 		o.StmtBudget = 90
-	}
-	if o.PrintProb == 0 {
-		o.PrintProb = 0.08
-	}
-	if o.RawDivProb == 0 {
-		o.RawDivProb = 0.02
 	}
 	return o
 }
@@ -139,7 +133,7 @@ func (g *gen) program() *ast.Program {
 
 	// Method signatures first (calls may only target lower indices,
 	// keeping the call graph acyclic).
-	nMethods := 2 + g.pick(g.opts.MaxMethods-1)
+	nMethods := 2 + g.pick(maxMethods-1)
 	for i := 0; i < nMethods; i++ {
 		var ret ast.Type
 		switch g.pick(5) {
@@ -262,7 +256,7 @@ func (g *gen) stmt() ast.Stmt {
 		}
 		return g.assignStmt()
 	case 16:
-		if g.chance(g.opts.PrintProb * 5) {
+		if g.chance(printProb * 5) {
 			t := g.scalarType()
 			return &ast.PrintStmt{X: g.expr(t, 2)}
 		}
@@ -680,7 +674,7 @@ func (g *gen) arith(t ast.Type, depth int) ast.Expr {
 	switch {
 	case op == ast.OpDiv || op == ast.OpRem:
 		y = g.expr(t, depth-1)
-		if !g.chance(g.opts.RawDivProb) {
+		if !g.chance(rawDivProb) {
 			one := &ast.IntLit{Value: 1, IsLong: t.Kind == ast.KindLong}
 			y = &ast.BinaryExpr{Op: ast.OpOr, X: y, Y: one}
 		}

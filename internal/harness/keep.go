@@ -43,7 +43,7 @@ func (kc KeepConfig) limit() int64 {
 	if kc.StepLimit != 0 {
 		return kc.StepLimit
 	}
-	return Options{}.withDefaults().StepLimit
+	return defaultStepLimit
 }
 
 // run executes bp under cfg within the predicate step budget; setting
@@ -124,15 +124,6 @@ func signatureIs(want string) func(string) bool {
 	return func(sig string) bool { return sig == want }
 }
 
-// Crash keeps programs that crash the seeded-defect VM (any crash).
-func (kc KeepConfig) Crash() reduce.Predicate { return kc.keep(CrashFinding, anySignature).Predicate() }
-
-// Diff keeps programs whose seeded-defect output differs from the
-// interpreted reference (timeouts are inconclusive and never kept).
-func (kc KeepConfig) Diff() reduce.Predicate {
-	return kc.keep(Miscompilation, anySignature).Predicate()
-}
-
 // CrashSignature keeps programs that crash with exactly the given
 // dedup signature — the predicate the campaign auto-reducer uses so a
 // reduced reproducer provably still triggers the same finding.
@@ -148,7 +139,10 @@ func (kc KeepConfig) MiscompileSignature(sig string) reduce.Predicate {
 }
 
 // TestForMode maps a cmd/mjreduce -mode value to its test, for
-// reduce.ReduceParallel (Predicate gives the one-at-a-time form).
+// reduce.ReduceParallel (Predicate gives the one-at-a-time form): "crash"
+// keeps programs that crash the seeded-defect VM (any crash), "diff"
+// programs whose seeded-defect output differs from the interpreted
+// reference (timeouts are inconclusive and never kept).
 func (kc KeepConfig) TestForMode(mode string) (reduce.Test, error) {
 	kind, err := kindForMode(mode)
 	if err != nil {

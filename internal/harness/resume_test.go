@@ -464,16 +464,16 @@ func TestKeepPredicateModes(t *testing.T) {
 	prof := profile(t, "openj9like")
 	kc := KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: 1_000_000}
 	benign := mustParse(t, `class T { void main() { print(1); } }`)
-	if kc.Crash()(benign) {
-		t.Error("crash predicate kept a benign program")
-	}
-	if kc.Diff()(benign) {
-		t.Error("diff predicate kept a benign program")
-	}
-	if keep, err := kc.TestForMode("diff"); err != nil {
-		t.Error(err)
-	} else if keep.Predicate()(benign) {
-		t.Error("diff mode kept a benign program")
+	modes := map[string]reduce.Predicate{}
+	for _, mode := range []string{"crash", "diff"} {
+		keep, err := kc.TestForMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes[mode] = keep.Predicate()
+		if modes[mode](benign) {
+			t.Errorf("%s mode kept a benign program", mode)
+		}
 	}
 	if _, err := kc.TestForMode("nope"); err == nil {
 		t.Error("TestForMode accepted an unknown mode")
@@ -495,8 +495,8 @@ func TestKeepPredicateModes(t *testing.T) {
 	// could not change their verdict.
 	loop := mustParse(t, `class T { void main() { int i = 0; while (true) { i = i + 1; } } }`)
 	for name, keep := range map[string]reduce.Predicate{
-		"crash":                kc.Crash(),
-		"diff":                 kc.Diff(),
+		"crash":                modes["crash"],
+		"diff":                 modes["diff"],
 		"miscompile-signature": kc.MiscompileSignature("miscompile|openj9like|normal-vs-timeout"),
 	} {
 		if keep(loop) {

@@ -161,14 +161,17 @@ type Options struct {
 	stop *atomic.Bool
 }
 
+// defaultStepLimit is the per-run step budget when none is set: ~0.5 s
+// of interpretation, the stand-in for the paper's 2-minute wall-clock
+// cutoff, scaled to simulator speed.
+const defaultStepLimit = 120_000_000
+
 func (o Options) withDefaults() Options {
 	if o.MaxIter == 0 {
 		o.MaxIter = 8
 	}
 	if o.StepLimit == 0 {
-		// ~0.5 s of interpretation: the stand-in for the paper's
-		// 2-minute wall-clock cutoff, scaled to simulator speed.
-		o.StepLimit = 120_000_000
+		o.StepLimit = defaultStepLimit
 	}
 	if o.Rand == nil {
 		o.Rand = rand.New(rand.NewSource(1))

@@ -41,15 +41,20 @@ func crashf(component, format string, args ...any) {
 
 // buildSSA translates one bytecode method to SSA. For OSR requests
 // (osrLoop >= 0) the function entry materializes every local slot as a
-// parameter and control starts at the loop header.
+// parameter and control starts at the loop header. It returns nil for
+// an OSR request at a header no path from the method entry reaches: the
+// interpreter never runs its back edge, and its stack depth is unknown.
 func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, cfg buildConfig) *ir.Func {
 	m := prog.Methods[mi]
-	f := ir.NewFunc(m.Name, mi, m.NParams, len(m.Locals), m.Ret.Kind == ast.KindVoid, osrLoop)
-
 	entryPC := 0
 	if osrLoop >= 0 {
 		entryPC = m.Loops[osrLoop].HeadPC
 	}
+	depths := bytecode.StackDepths(m)
+	if depths[entryPC] != 0 {
+		return nil
+	}
+	f := ir.NewFunc(m.Name, mi, m.NParams, len(m.Locals), osrLoop)
 
 	// --- Block discovery over the bytecode CFG -------------------------
 	// A block starts at the entry, at every successor of a block-ending
@@ -111,8 +116,6 @@ func buildSSA(prog *bytecode.Program, mi, osrLoop int, prof *vm.MethodProfile, c
 	for _, pc := range leaderPCs {
 		blockAt[pc] = f.NewBlock()
 	}
-
-	depths := bytecode.StackDepths(m)
 
 	// --- Abstract interpretation state ---------------------------------
 	type state struct {

@@ -212,7 +212,6 @@ type mpair struct{ d, a int32 }
 type Code struct {
 	name      string
 	tier      int
-	osr       bool
 	frameSize int
 	ins       []minstr
 	// size is the reference instruction count, the sum of the words'
@@ -248,9 +247,6 @@ type execBugSet struct {
 
 // Tier implements vm.CompiledCode.
 func (c *Code) Tier() int { return c.tier }
-
-// IsOSR implements vm.CompiledCode.
-func (c *Code) IsOSR() bool { return c.osr }
 
 // Size implements vm.CompiledCode: the reference instruction count.
 func (c *Code) Size() int { return c.size }
@@ -334,7 +330,7 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 		execBugs.aliasA, execBugs.aliasB = 1, int32(nRegs/2)
 	}
 
-	c := &Code{name: f.Name, tier: tier, osr: f.OSRLoopID >= 0, execBugs: execBugs}
+	c := &Code{name: f.Name, tier: tier, execBugs: execBugs}
 
 	// Layout: reverse postorder.
 	order := f.ReversePostorder()

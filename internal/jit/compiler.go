@@ -88,18 +88,19 @@ func (c *Compiler) Compile(req vm.CompileRequest) (code vm.CompiledCode, cerr *v
 	}()
 
 	out, passOpts := c.reference(req)
-	out.pack()
-	out.stats = &vm.CompileStats{
-		Tier:       out.Tier(),
-		OSR:        out.IsOSR(),
-		OptsByPass: passOpts,
-		Nanos:      time.Since(start).Nanoseconds(),
+	if out == nil {
+		// The VM caches a benign failure as "no OSR entry".
+		m := req.Prog.Methods[req.MethodIndex]
+		return nil, &vm.CompileError{Msg: fmt.Sprintf("no OSR entry: loop %d of %s is unreachable", req.OSRLoopID, m.Name)}
 	}
+	out.pack()
+	out.stats = &vm.CompileStats{OptsByPass: passOpts, Nanos: time.Since(start).Nanoseconds()}
 	return out, nil
 }
 
 // reference builds, optimizes and lowers the requested method to reference
-// code, returning it with the per-pass optimization counts. Seeded
+// code, returning it with the per-pass optimization counts, or nil for an
+// OSR request at an unreachable loop header (see buildSSA). Seeded
 // compiler crashes panic with a compilerCrash, which Compile recovers.
 func (c *Compiler) reference(req vm.CompileRequest) (*Code, map[string]int64) {
 	bugSet := c.opts.Bugs
@@ -122,6 +123,9 @@ func (c *Compiler) reference(req vm.CompileRequest) (*Code, map[string]int64) {
 		bugGraphAssert:  tier >= 2 && bugSet.Has("hs-igb-region"),
 	}
 	f := buildSSA(req.Prog, req.MethodIndex, req.OSRLoopID, req.Profile, cfg)
+	if f == nil {
+		return nil, nil
+	}
 
 	checkIR := func(stage string) {
 		if !c.opts.ValidateIR {

@@ -288,7 +288,6 @@ type Func struct {
 	MethodIndex int
 	NParams     int
 	NSlots      int // total local slots in the source method
-	RetVoid     bool
 	OSRLoopID   int // -1 for regular entries
 
 	Entry  *Block
@@ -300,13 +299,12 @@ type Func struct {
 }
 
 // NewFunc creates an empty function.
-func NewFunc(name string, methodIndex, nParams, nSlots int, retVoid bool, osrLoop int) *Func {
+func NewFunc(name string, methodIndex, nParams, nSlots, osrLoop int) *Func {
 	return &Func{
 		Name:        name,
 		MethodIndex: methodIndex,
 		NParams:     nParams,
 		NSlots:      nSlots,
-		RetVoid:     retVoid,
 		OSRLoopID:   osrLoop,
 	}
 }

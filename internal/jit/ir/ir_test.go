@@ -6,7 +6,7 @@ import "testing"
 //
 //	entry -> a -> {b, c} -> d(ret)
 func buildDiamond() (*Func, *Block, *Block, *Block, *Block) {
-	f := NewFunc("t", 0, 0, 0, true, -1)
+	f := NewFunc("t", 0, 0, 0, -1)
 	a := f.NewBlock()
 	b := f.NewBlock()
 	c := f.NewBlock()
@@ -42,7 +42,7 @@ func TestDominatorsDiamond(t *testing.T) {
 
 func TestLoopsAndFrequencies(t *testing.T) {
 	// entry -> head <-> body ; head -> exit
-	f := NewFunc("t", 0, 0, 0, true, -1)
+	f := NewFunc("t", 0, 0, 0, -1)
 	entry := f.NewBlock()
 	head := f.NewBlock()
 	body := f.NewBlock()
@@ -177,7 +177,7 @@ func TestSplitCriticalEdges(t *testing.T) {
 }
 
 func TestTrappingClassification(t *testing.T) {
-	f := NewFunc("t", 0, 0, 0, true, -1)
+	f := NewFunc("t", 0, 0, 0, -1)
 	b := f.NewBlock()
 	f.Entry = b
 	b.Kind = BlockRetVoid
@@ -210,7 +210,7 @@ func TestTrappingClassification(t *testing.T) {
 }
 
 func TestInsertAfter(t *testing.T) {
-	f := NewFunc("t", 0, 0, 0, true, -1)
+	f := NewFunc("t", 0, 0, 0, -1)
 	b := f.NewBlock()
 	f.Entry = b
 	b.Kind = BlockRetVoid

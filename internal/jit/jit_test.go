@@ -237,12 +237,18 @@ func TestSpeculationAndDeopt(t *testing.T) {
 		EntryThresholds: []int64{500, 2000},
 		OSRThresholds:   []int64{500, 2000},
 		RecordTrace:     true,
+		CollectStats:    true,
 	}, bp)
 	if !jitted.Output.Equivalent(interp.Output) {
 		t.Fatalf("deopt run differs: interp=%v jit=%v (%s)", interp.Output.Lines, jitted.Output.Lines, jitted.Output.Detail)
 	}
 	if jitted.Deopts == 0 {
 		t.Error("expected at least one deoptimization from the violated speculation")
+	}
+	// Every guard deopts under one reason template, so the metrics'
+	// deopts_by_reason keeps a single key.
+	if r := jitted.Stats.DeoptsByReason; len(r) != 1 || r["speculation failed"] != jitted.Deopts {
+		t.Errorf("DeoptsByReason = %v, want all %d deopts under \"speculation failed\"", r, jitted.Deopts)
 	}
 	if jitted.Output.Lines[0] != "2" || jitted.Output.Lines[1] != "4" {
 		t.Errorf("unexpected output %v", jitted.Output.Lines)

@@ -65,7 +65,6 @@ func (c *Code) Run(env vm.Env, args []int64) vm.ExecResult {
 // exec is Run's dispatch loop over frame f.
 func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 	frame, ins, pairs := f.slots, c.ins, c.pairs
-	var backedges int64
 	pc := 0
 
 	// Compiled code runs faster than interpretation: it charges
@@ -92,7 +91,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		if until -= int(in.w); until <= 0 {
 			for ; until <= 0; until += chargeEvery {
 				if uw := env.Step(stepCost); uw != nil {
-					return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
+					return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw}
 				}
 			}
 		}
@@ -105,11 +104,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			for _, m := range pairs[in.a:in.b] {
 				frame[m.d] = frame[m.a]
 			}
-			t := int(in.imm)
-			if t <= pc {
-				backedges++
-			}
-			pc = t
+			pc = int(in.imm)
 			continue
 		case mLdi:
 			frame[in.d] = in.imm
@@ -208,7 +203,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		case mDivRemI, mDivRemL:
 			v, err := vm.EvalBinary(bytecode.Op(in.imm), frame[in.a], frame[in.b])
 			if err != nil {
-				return c.unwindErr(env, err, backedges)
+				return c.unwindErr(err)
 			}
 			frame[in.d] = v
 		case mNegI:
@@ -241,7 +236,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			fallthrough
 		case mBrEQ:
 			if frame[in.d] = b2i(frame[in.a] == frame[in.b]); frame[in.d] != 0 {
-				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				pc = int(in.imm >> 32)
 				continue
 			}
 		case mBrNEK:
@@ -249,7 +244,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			fallthrough
 		case mBrNE:
 			if frame[in.d] = b2i(frame[in.a] != frame[in.b]); frame[in.d] != 0 {
-				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				pc = int(in.imm >> 32)
 				continue
 			}
 		case mBrLTK:
@@ -257,7 +252,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			fallthrough
 		case mBrLT:
 			if frame[in.d] = b2i(frame[in.a] < frame[in.b]); frame[in.d] != 0 {
-				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				pc = int(in.imm >> 32)
 				continue
 			}
 		case mBrLEK:
@@ -265,7 +260,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			fallthrough
 		case mBrLE:
 			if frame[in.d] = b2i(frame[in.a] <= frame[in.b]); frame[in.d] != 0 {
-				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				pc = int(in.imm >> 32)
 				continue
 			}
 		case mBrGTK:
@@ -273,7 +268,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			fallthrough
 		case mBrGT:
 			if frame[in.d] = b2i(frame[in.a] > frame[in.b]); frame[in.d] != 0 {
-				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				pc = int(in.imm >> 32)
 				continue
 			}
 		case mBrGEK:
@@ -281,7 +276,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			fallthrough
 		case mBrGE:
 			if frame[in.d] = b2i(frame[in.a] >= frame[in.b]); frame[in.d] != 0 {
-				pc, backedges = branch(pc, int(in.imm>>32), backedges)
+				pc = int(in.imm >> 32)
 				continue
 			}
 		case mGetF:
@@ -291,13 +286,13 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		case mNewArr:
 			h, err := env.NewArray(ast.Kind(in.imm), int64(int32(frame[in.a])))
 			if err != nil {
-				return c.unwindErr(env, err, backedges)
+				return c.unwindErr(err)
 			}
 			frame[in.d] = h
 		case mALoad:
 			v, err := env.ArrayLoad(frame[in.a], int64(int32(frame[in.b])))
 			if err != nil {
-				return c.unwindErr(env, err, backedges)
+				return c.unwindErr(err)
 			}
 			frame[in.d] = v
 		case mALoadNC:
@@ -308,7 +303,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		case mAStore:
 			ref, idx := frame[in.a], int64(int32(frame[in.b]))
 			if err := env.ArrayStore(ref, idx, frame[in.d]); err != nil {
-				return c.unwindErr(env, err, backedges)
+				return c.unwindErr(err)
 			}
 			if c.execBugs.gcBarrier || c.execBugs.gcClear {
 				c.maybeCorrupt(env, ref, idx)
@@ -322,7 +317,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		case mArrLen:
 			n, err := env.ArrayLen(frame[in.a])
 			if err != nil {
-				return c.unwindErr(env, err, backedges)
+				return c.unwindErr(err)
 			}
 			frame[in.d] = n
 		case mCall:
@@ -333,39 +328,38 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 			}
 			ret, uw := env.CallMethod(int(in.imm), callArgs)
 			if uw != nil {
-				return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw, Backedges: backedges}
+				return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: uw}
 			}
 			frame[in.d] = ret
 		case mPrint:
 			env.Print(ast.Kind(in.imm), frame[in.a])
 		case mJmp:
-			pc, backedges = branch(pc, int(in.imm), backedges)
+			pc = int(in.imm)
 			continue
 		case mBr:
 			if frame[in.a] != 0 {
-				pc, backedges = branch(pc, int(in.imm), backedges)
+				pc = int(in.imm)
 				continue
 			}
 		case mSwitch:
 			v := int64(int32(frame[in.a]))
 			sw := &c.switches[in.b]
-			t := sw.deflt
+			pc = sw.deflt
 			for i, val := range sw.vals {
 				if val == v {
-					t = sw.targets[i]
+					pc = sw.targets[i]
 					break
 				}
 			}
-			pc, backedges = branch(pc, t, backedges)
 			continue
 		case mGuard:
 			if frame[in.a] != in.imm {
-				return c.deopt(frame, &c.deopts[in.b], backedges)
+				return c.deopt(frame, &c.deopts[in.b])
 			}
 		case mRet:
-			return vm.ExecResult{Kind: vm.ExecReturn, Value: frame[in.a], Backedges: backedges}
+			return vm.ExecResult{Kind: vm.ExecReturn, Value: frame[in.a]}
 		case mRetVoid:
-			return vm.ExecResult{Kind: vm.ExecReturn, Backedges: backedges}
+			return vm.ExecResult{Kind: vm.ExecReturn}
 		case mEnd:
 			// The pc of a fall-off is the reference instruction count.
 			panic(fmt.Sprintf("SIGSEGV: fell off compiled code of %s (pc %d)", c.name, c.size))
@@ -374,15 +368,6 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 		}
 		pc++
 	}
-}
-
-// branch returns jump target t of the word at pc and the back-edge
-// count, which it increments when t is not ahead of pc.
-func branch(pc, t int, backedges int64) (int, int64) {
-	if t <= pc {
-		backedges++
-	}
-	return t, backedges
 }
 
 func b2i(b bool) int64 {
@@ -394,28 +379,25 @@ func b2i(b bool) int64 {
 
 // deopt builds the uncommon-trap exit of a failed guard from its site's
 // frame-state recipe.
-func (c *Code) deopt(frame []int64, site *deoptSite, backedges int64) vm.ExecResult {
+func (c *Code) deopt(frame []int64, site *deoptSite) vm.ExecResult {
 	if c.execBugs.guardStackCrash && len(site.stack) >= 3 {
 		// hs-exec-guard-stack: the trap stub faults.
 		panic(fmt.Sprintf("SIGSEGV: uncommon trap stub, method %s, deopt pc %d", c.name, site.pc))
 	}
-	d := &vm.Deopt{
-		PC:     site.pc,
-		Reason: fmt.Sprintf("speculation failed in %s at bytecode %d", c.name, site.pc),
-	}
+	d := &vm.Deopt{PC: site.pc, Reason: "speculation failed"}
 	for _, l := range site.locals {
 		d.Locals = append(d.Locals, readLoc(frame, l))
 	}
 	for _, l := range site.stack {
 		d.Stack = append(d.Stack, readLoc(frame, l))
 	}
-	return vm.ExecResult{Kind: vm.ExecDeopt, Deopt: d, Backedges: backedges}
+	return vm.ExecResult{Kind: vm.ExecDeopt, Deopt: d}
 }
 
-func (c *Code) unwindErr(env vm.Env, err *vm.RuntimeError, backedges int64) vm.ExecResult {
+func (c *Code) unwindErr(err *vm.RuntimeError) vm.ExecResult {
 	e := *err
 	e.Msg = e.Msg + " (in " + c.name + ")"
-	return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: &vm.Unwind{Err: &e}, Backedges: backedges}
+	return vm.ExecResult{Kind: vm.ExecUnwind, Unwind: &vm.Unwind{Err: &e}}
 }
 
 func readLoc(frame []int64, l loc) int64 {

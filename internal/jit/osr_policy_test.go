@@ -45,14 +45,13 @@ func TestOSRUseCompiledEntersCachedCode(t *testing.T) {
         void g() { for (int i = 0; i < 200; i++) { acc += i; } }
         void main() { g(); g(); print(acc); }
     }`)
-	// NoSpeculation keeps the loop-exit branch unguarded: with
-	// speculation on, the profile-trained exit guard fails at i==200,
-	// deopts, and (correctly) invalidates the cached OSR entry — which
+	// A tier-1 compiler never speculates, so the loop-exit branch stays
+	// unguarded: a profile-trained exit guard would fail at i==200,
+	// deopt, and (correctly) invalidate the cached OSR entry — which
 	// would mask the dispatch behaviour this test pins.
 	res := vm.Run(vm.Config{
-		JIT:           New(Options{MaxTier: 2}),
-		Policy:        &osrReusePolicy{threshold: 100, compiled: map[string]bool{}},
-		NoSpeculation: true,
+		JIT:    New(Options{MaxTier: 1}),
+		Policy: &osrReusePolicy{threshold: 100, compiled: map[string]bool{}},
 	}, bp)
 	if res.Output.Term != vm.TermNormal {
 		t.Fatalf("run: %v %q", res.Output.Term, res.Output.Detail)
@@ -82,11 +81,10 @@ func TestCounterPolicyNoRedundantOSRRecompiles(t *testing.T) {
         void main() { g(); g(); print(acc); }
     }`)
 	res := vm.Run(vm.Config{
-		JIT:             New(Options{MaxTier: 2}),
+		JIT:             New(Options{MaxTier: 1}),
 		EntryThresholds: []int64{350, 1400},
 		OSRThresholds:   []int64{450, 1800},
 		CollectStats:    true,
-		NoSpeculation:   true,
 	}, bp)
 	if res.Output.Term != vm.TermNormal {
 		t.Fatalf("run: %v %q", res.Output.Term, res.Output.Detail)

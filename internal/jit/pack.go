@@ -338,9 +338,7 @@ const maxRun = 1 << 14
 //     a compare-and-branch word, which may also take the constant load
 //     before it.
 //
-// Jump and switch targets are remapped in order, so the back-edge test
-// target <= pc counts the same edges. An mEnd word of weight 0 closes
-// the code.
+// An mEnd word of weight 0 closes the code.
 func (c *Code) pack() []int {
 	ref := c.ins
 	n := len(ref)

@@ -139,14 +139,23 @@ func checkPacked(t *testing.T, c *Code) (dropped, fused int) {
 	return dropped, fused
 }
 
-// recordingJIT compiles like its Compiler and keeps every request.
+// recordingJIT compiles like its Compiler and keeps every request. A
+// request only borrows the VM's live profile, so it keeps a copy.
 type recordingJIT struct {
 	*Compiler
 	reqs []vm.CompileRequest
 }
 
 func (r *recordingJIT) Compile(req vm.CompileRequest) (vm.CompiledCode, *vm.CompileError) {
-	r.reqs = append(r.reqs, req)
+	kept := req
+	if req.Profile != nil {
+		kept.Profile = &vm.MethodProfile{Branches: map[int]*vm.BranchProfile{}}
+		for pc, b := range req.Profile.Branches {
+			cp := *b
+			kept.Profile.Branches[pc] = &cp
+		}
+	}
+	r.reqs = append(r.reqs, kept)
 	return r.Compiler.Compile(req)
 }
 

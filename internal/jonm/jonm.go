@@ -52,9 +52,6 @@ type Config struct {
 	StepMax int64
 	// Rand is the mutation RNG (required).
 	Rand *rand.Rand
-	// MethodProb is the FlipCoin probability of mutating each method
-	// (Algorithm 1, line 11). Default 0.5.
-	MethodProb float64
 	// Mutators restricts the mutator set (default all three) — used
 	// by the ablation benchmarks.
 	Mutators []MutatorName
@@ -81,9 +78,6 @@ func (c *Config) withDefaults() *Config {
 	if out.StepMax == 0 {
 		out.StepMax = 10
 	}
-	if out.MethodProb == 0 {
-		out.MethodProb = 0.5
-	}
 	if len(out.Mutators) == 0 {
 		out.Mutators = []MutatorName{LI, SW, MI}
 	}
@@ -96,6 +90,10 @@ type Application struct {
 	Method  string
 	Detail  string
 }
+
+// methodProb is the FlipCoin probability of mutating each method
+// (Algorithm 1, line 11).
+const methodProb = 0.5
 
 // Report summarizes one Mutate call.
 type Report struct {
@@ -111,9 +109,6 @@ type Report struct {
 	// and safe to reuse compiled.
 	Mutated map[string]bool
 }
-
-// Changed reports whether any mutation was applied.
-func (r *Report) Changed() bool { return len(r.Applied) > 0 }
 
 func (r *Report) String() string {
 	if len(r.Applied) == 0 {
@@ -152,7 +147,7 @@ func Mutate(seed *ast.Program, cfg *Config) (*ast.Program, *Report, error) {
 
 	n := len(p.Class.Methods)
 	for i := 0; i < n; i++ {
-		if mc.rng.Float64() >= cfg.MethodProb {
+		if mc.rng.Float64() >= methodProb {
 			continue
 		}
 		if app, ok := mc.mutateMethod(i); ok {

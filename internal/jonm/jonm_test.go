@@ -61,7 +61,7 @@ func TestMutateProducesValidDistinctPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutate %d: %v", i, err)
 		}
-		if !rep.Changed() {
+		if len(rep.Applied) == 0 {
 			t.Errorf("mutation %d applied nothing", i)
 		}
 		src := ast.Print(mutant)
@@ -259,7 +259,6 @@ func TestMutatorSpecificShapes(t *testing.T) {
 		for i := int64(0); i < 12 && !found; i++ {
 			cfg := seed.cfg(i)
 			cfg.Mutators = []MutatorName{mut}
-			cfg.MethodProb = 1
 			mutant, rep, err := Mutate(seed.prog, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", mut, err)

@@ -115,19 +115,35 @@ func TestCountStmtsExcludesBlocks(t *testing.T) {
 	}
 }
 
-func TestWalkMethodExprsFindsIdents(t *testing.T) {
+func TestWalkExprsFindsIdents(t *testing.T) {
 	m := buildMethod()
 	idents := map[string]int{}
-	WalkMethodExprs(m, func(e Expr) {
-		if id, ok := e.(*Ident); ok {
-			idents[id.Name]++
+	walk := func(e Expr) {
+		WalkExprs(e, func(e Expr) {
+			if id, ok := e.(*Ident); ok {
+				idents[id.Name]++
+			}
+		})
+	}
+	WalkStmts(m, func(s Stmt) bool {
+		switch s := s.(type) {
+		case *DeclStmt:
+			walk(s.Init)
+		case *AssignStmt:
+			walk(s.Target)
+			walk(s.Value)
+		case *IfStmt:
+			walk(s.Cond)
+		case *WhileStmt:
+			walk(s.Cond)
 		}
+		return true
 	})
 	if idents["p"] != 1 {
 		t.Errorf("p seen %d times", idents["p"])
 	}
-	if idents["x"] < 6 {
-		t.Errorf("x seen %d times", idents["x"])
+	if idents["x"] != 6 {
+		t.Errorf("x seen %d times, want 6", idents["x"])
 	}
 }
 

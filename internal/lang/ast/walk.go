@@ -104,47 +104,6 @@ func WalkExprs(e Expr, fn func(Expr)) {
 	}
 }
 
-// WalkMethodExprs calls fn for every expression in the method body.
-func WalkMethodExprs(m *Method, fn func(Expr)) {
-	WalkStmts(m, func(s Stmt) bool {
-		switch s := s.(type) {
-		case *DeclStmt:
-			WalkExprs(s.Init, fn)
-		case *AssignStmt:
-			WalkExprs(s.Target, fn)
-			WalkExprs(s.Value, fn)
-		case *IfStmt:
-			WalkExprs(s.Cond, fn)
-		case *ForStmt:
-			// Init/Post are visited as their own statements only if
-			// they are inside the body; handle them here explicitly.
-			switch init := s.Init.(type) {
-			case *DeclStmt:
-				WalkExprs(init.Init, fn)
-			case *AssignStmt:
-				WalkExprs(init.Target, fn)
-				WalkExprs(init.Value, fn)
-			}
-			WalkExprs(s.Cond, fn)
-			if post, ok := s.Post.(*AssignStmt); ok {
-				WalkExprs(post.Target, fn)
-				WalkExprs(post.Value, fn)
-			}
-		case *WhileStmt:
-			WalkExprs(s.Cond, fn)
-		case *SwitchStmt:
-			WalkExprs(s.Tag, fn)
-		case *ReturnStmt:
-			WalkExprs(s.Value, fn)
-		case *ExprStmt:
-			WalkExprs(s.X, fn)
-		case *PrintStmt:
-			WalkExprs(s.X, fn)
-		}
-		return true
-	})
-}
-
 // CountStmts returns the number of statements in the method body
 // (excluding block wrappers), a simple size metric used by the fuzzer
 // and the reducer.

@@ -3,7 +3,9 @@
 // configurable compilation thresholds (the Z_1..Z_N of Definition 3.1),
 // on-stack replacement, uncommon-trap deoptimization, a mark-sweep
 // garbage collector, and a JIT-trace recorder that captures temperature
-// vectors (Definition 3.2).
+// vectors (Definition 3.2). Back-edge counters and the branch profile
+// come from the interpreter alone: compiled code feeds neither, and a
+// compile reads the live profile.
 //
 // The actual JIT compilers live in internal/jit and are plugged in via
 // the JITCompiler interface, so the VM itself stays compiler-agnostic
@@ -86,26 +88,23 @@ func (k TermKind) String() string { return termNames[k] }
 func (o *Output) Conclusive() bool { return o.Term != TermTimeout && o.Term != TermStopped }
 
 // Output is a program run's observable result. Printed lines beyond
-// MaxOutputLines are folded into the rolling hash only, so memory use
-// is bounded while comparisons stay exact.
+// the first maxOutputLines are folded into the rolling hash only, so
+// memory use is bounded while comparisons stay exact.
 type Output struct {
-	Lines   []string // first maxLines printed lines
-	NLines  int      // total printed lines
-	hash    uint64
-	Term    TermKind
-	Detail  string // exception text, crash reason, ...
-	Steps   int64  // abstract interpreter steps consumed
-	maxKeep int
+	Lines  []string // the first maxOutputLines printed lines
+	NLines int      // total printed lines
+	hash   uint64
+	Term   TermKind
+	Detail string // exception text, crash reason, ...
+	Steps  int64  // abstract interpreter steps consumed
 }
 
-func newOutput(maxKeep int) *Output {
-	o := &Output{maxKeep: maxKeep}
-	o.hash = fnv.New64a().Sum64()
-	return o
+func newOutput() *Output {
+	return &Output{hash: fnv.New64a().Sum64()}
 }
 
 func (o *Output) addLine(s string) {
-	if len(o.Lines) < o.maxKeep {
+	if len(o.Lines) < maxOutputLines {
 		o.Lines = append(o.Lines, s)
 	}
 	o.NLines++

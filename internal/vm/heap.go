@@ -34,9 +34,8 @@ type Heap struct {
 	peakWords  int64 // high-water mark of usedWords
 	allocs     int64 // allocations since last GC
 
-	// gcStats
+	// Collections counts garbage collections.
 	Collections int64
-	Freed       int64
 
 	// pool, when non-nil, recycles Data backing slices (bucketed by
 	// power-of-two capacity) and Array headers across frees and runs.
@@ -110,7 +109,6 @@ func (h *Heap) Reset(limitWords int64) {
 	h.peakWords = 0
 	h.allocs = 0
 	h.Collections = 0
-	h.Freed = 0
 }
 
 // NewHeap returns a heap limited to limitWords payload words
@@ -172,10 +170,6 @@ func (h *Heap) Get(handle int64) *Array {
 	return h.objects[idx]
 }
 
-// IsHandle reports whether v currently names a live object
-// (used by the conservative root scan).
-func (h *Heap) IsHandle(v int64) bool { return h.Get(v) != nil }
-
 // CorruptionError is returned by Collect when heap verification fails;
 // the VM reports it as a crash attributed to the garbage collector.
 type CorruptionError struct {
@@ -221,7 +215,6 @@ func (h *Heap) Collect(roots func(yield func(v int64))) error {
 			h.objects[i] = nil
 			h.free = append(h.free, i)
 			h.usedWords -= n + 1
-			h.Freed++
 			h.retire(o)
 		}
 	}
@@ -229,22 +222,6 @@ func (h *Heap) Collect(roots func(yield func(v int64))) error {
 	h.Collections++
 	if corrupt != nil {
 		return corrupt
-	}
-	return nil
-}
-
-// VerifyAll checks every live object's canary without collecting
-// (used by tests).
-func (h *Heap) VerifyAll() error {
-	for i, o := range h.objects {
-		if o == nil {
-			continue
-		}
-		handle := int64(i + 1)
-		n := int64(len(o.Data) - 1)
-		if o.Data[n] != canaryFor(handle) {
-			return &CorruptionError{Handle: handle, Detail: "canary mismatch"}
-		}
 	}
 	return nil
 }

@@ -334,11 +334,7 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 
 		case bytecode.OpSwitch:
 			sp--
-			t := m.Switches[in.A].Lookup(int64(int32(stack[sp])))
-			if profiled {
-				st.Profile.switchHit(pc, t)
-			}
-			pc = t
+			pc = m.Switches[in.A].Lookup(int64(int32(stack[sp])))
 		case bytecode.OpLoopBack:
 			if profiled {
 				loopID := int(in.B)

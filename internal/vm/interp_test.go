@@ -364,14 +364,17 @@ func TestOutOfMemory(t *testing.T) {
 }
 
 func TestOutputHashCoversAllLines(t *testing.T) {
-	bp := compileSrc(t, `class T { void main() { for (int i = 0; i < 100; i++) { print(i); } } }`)
-	a := Run(Config{MaxOutputLines: 10}, bp).Output
-	b := Run(Config{MaxOutputLines: 10}, bp).Output
+	bp := compileSrc(t, `class T { void main() { for (int i = 0; i < 300; i++) { print(i); } } }`)
+	a := Run(Config{}, bp).Output
+	b := Run(Config{}, bp).Output
 	if !a.Equivalent(b) {
 		t.Error("identical runs should be equivalent")
 	}
-	bp2 := compileSrc(t, `class T { void main() { for (int i = 0; i < 100; i++) { print(i == 50 ? -1 : i); } } }`)
-	c := Run(Config{MaxOutputLines: 10}, bp2).Output
+	if len(a.Lines) != maxOutputLines || a.NLines != 300 {
+		t.Fatalf("kept %d of %d lines, want %d of 300", len(a.Lines), a.NLines, maxOutputLines)
+	}
+	bp2 := compileSrc(t, `class T { void main() { for (int i = 0; i < 300; i++) { print(i == 280 ? -1 : i); } } }`)
+	c := Run(Config{}, bp2).Output
 	if a.Equivalent(c) {
 		t.Error("runs differing past the retained prefix must not be equivalent")
 	}

@@ -45,7 +45,9 @@ type Deopt struct {
 	PC     int     // bytecode pc to resume interpretation at
 	Locals []int64 // reconstructed local slots
 	Stack  []int64 // reconstructed operand stack
-	Reason string  // e.g. "speculative branch violated at pc 12"
+	// Reason is the trap's template, "speculation failed" for every
+	// guard the compiler emits; ExecStats.DeoptsByReason keys on it.
+	Reason string
 }
 
 // ExecKind discriminates compiled-code execution results.
@@ -63,10 +65,6 @@ type ExecResult struct {
 	Value  int64   // for ExecReturn of non-void methods
 	Deopt  *Deopt  // for ExecDeopt
 	Unwind *Unwind // for ExecUnwind
-
-	// Backedges is the number of loop back-edges executed, fed back
-	// into the method's counters for tier-up decisions.
-	Backedges int64
 }
 
 // CompiledCode is one compiled version of a method.
@@ -77,9 +75,6 @@ type CompiledCode interface {
 	Run(env Env, args []int64) ExecResult
 	// Tier returns the optimization level (1-based).
 	Tier() int
-	// IsOSR reports whether this is an on-stack-replacement entry
-	// compiled for a specific loop.
-	IsOSR() bool
 	// Size returns the reference instruction count: the instructions
 	// the step charge counts and jit.code_instrs sums, not the number
 	// of packed words the executor dispatches.
@@ -94,8 +89,10 @@ type CompileRequest struct {
 	// OSRLoopID >= 0 requests an OSR version entered at that loop's
 	// header; -1 requests a regular entry.
 	OSRLoopID int
-	// Profile is a snapshot of interpreter profiling data; may be nil
-	// (tier-1 compilers don't need it).
+	// Profile is the method's live interpreter profile, borrowed for
+	// the call: the compiler must not keep it, because interpretation
+	// goes on updating it once Compile returns. May be nil (tier-1
+	// compilers don't need it).
 	Profile *MethodProfile
 	// Speculate permits profile-guided speculative optimization with
 	// uncommon traps. The VM clears it after repeated deopts.
@@ -112,8 +109,6 @@ type CompileRequest struct {
 // on. OptsByPass is deterministic; Nanos is wall clock and excluded
 // from deterministic exports.
 type CompileStats struct {
-	Tier       int
-	OSR        bool
 	OptsByPass map[string]int64
 	Nanos      int64
 }

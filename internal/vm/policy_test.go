@@ -143,20 +143,17 @@ func TestJITTraceHashing(t *testing.T) {
 func TestHeapHandleBasics(t *testing.T) {
 	h := NewHeap(1 << 16)
 	a := h.Alloc(2 /* KindInt */, 4)
-	if !h.IsHandle(a) || h.IsHandle(a+100) || h.IsHandle(0) || h.IsHandle(-1) {
+	if h.Get(a) == nil || h.Get(a+100) != nil || h.Get(0) != nil || h.Get(-1) != nil {
 		t.Error("handle validity wrong")
 	}
 	if h.Get(a).Len() != 4 {
 		t.Errorf("len = %d", h.Get(a).Len())
 	}
-	if err := h.VerifyAll(); err != nil {
+	if err := h.Collect(func(yield func(int64)) { yield(a) }); err != nil {
 		t.Errorf("fresh heap corrupt: %v", err)
 	}
-	// Corrupt the canary: VerifyAll and Collect must notice.
+	// Corrupt the canary: Collect must notice.
 	h.Get(a).Data[4] = 12345
-	if err := h.VerifyAll(); err == nil {
-		t.Error("corruption not detected")
-	}
 	if err := h.Collect(func(yield func(int64)) { yield(a) }); err == nil {
 		t.Error("collect missed corruption")
 	}
@@ -174,8 +171,5 @@ func TestHeapCollectFreesUnreachable(t *testing.T) {
 	}
 	if h.Get(dead) != nil {
 		t.Error("dead object retained")
-	}
-	if h.Freed != 1 {
-		t.Errorf("freed = %d", h.Freed)
 	}
 }

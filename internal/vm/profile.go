@@ -15,24 +15,15 @@ type MethodProfile struct {
 	// Branches maps bytecode pc of OpIfTrue/OpIfFalse/OpIfCmp to
 	// outcome counts. "Taken" means the branch to A was followed.
 	Branches map[int]*BranchProfile
-	// SwitchHits maps bytecode pc of OpSwitch to per-target hit
-	// counts keyed by target pc.
-	SwitchHits map[int]map[int]int64
 }
 
 func newMethodProfile() *MethodProfile {
-	return &MethodProfile{
-		Branches:   map[int]*BranchProfile{},
-		SwitchHits: map[int]map[int]int64{},
-	}
+	return &MethodProfile{Branches: map[int]*BranchProfile{}}
 }
 
-// reset empties the profile in place, keeping map allocations for the
-// next run (Scratch reuse).
-func (p *MethodProfile) reset() {
-	clear(p.Branches)
-	clear(p.SwitchHits)
-}
+// reset empties the profile in place, keeping the map allocation for
+// the next run (Scratch reuse).
+func (p *MethodProfile) reset() { clear(p.Branches) }
 
 func (p *MethodProfile) branch(pc int, taken bool) {
 	b := p.Branches[pc]
@@ -47,35 +38,9 @@ func (p *MethodProfile) branch(pc int, taken bool) {
 	}
 }
 
-func (p *MethodProfile) switchHit(pc, target int) {
-	m := p.SwitchHits[pc]
-	if m == nil {
-		m = map[int]int64{}
-		p.SwitchHits[pc] = m
-	}
-	m[target]++
-}
-
-// Snapshot returns a deep copy so the JIT sees a stable profile.
-func (p *MethodProfile) Snapshot() *MethodProfile {
-	s := newMethodProfile()
-	for pc, b := range p.Branches {
-		cp := *b
-		s.Branches[pc] = &cp
-	}
-	for pc, m := range p.SwitchHits {
-		cm := map[int]int64{}
-		for t, n := range m {
-			cm[t] = n
-		}
-		s.SwitchHits[pc] = cm
-	}
-	return s
-}
-
 // Counters is the per-method counter set C_m of Definition 3.2:
 // c0 is the method (invocation) counter, Backedge[i] is the back-edge
-// counter of loop i.
+// counter of loop i. Only the interpreter counts back edges.
 type Counters struct {
 	Invocations int64
 	Backedge    []int64

@@ -1,7 +1,5 @@
 package vm
 
-import "strings"
-
 // ExecStats is the per-run execution metrics record collected when
 // Config.CollectStats is set: how much work the run did in each
 // execution mode, how the JIT was exercised, and how the heap behaved.
@@ -39,8 +37,8 @@ type ExecStats struct {
 	// future policies) can retrap without invalidating.
 	UncommonTraps int64 `json:"uncommon_traps"`
 	Deopts        int64 `json:"deopts"`
-	// DeoptsByReason buckets deopts by the reason template (digits and
-	// method names stripped, so cardinality stays bounded).
+	// DeoptsByReason counts deopts by Deopt.Reason, a fixed template
+	// with no method name or pc in it, so the key set stays small.
 	DeoptsByReason map[string]int64 `json:"deopts_by_reason,omitempty"`
 
 	// GCCycles is the number of stop-the-world collections;
@@ -96,31 +94,9 @@ func (s *ExecStats) Merge(o *ExecStats) {
 	s.CompileNanos += o.CompileNanos
 }
 
-// TotalCompilations sums CompilationsByTier.
-func (s *ExecStats) TotalCompilations() int64 {
-	var n int64
-	for _, c := range s.CompilationsByTier {
-		n += c
-	}
-	return n
-}
-
-// deoptReasonBucket reduces a free-form deopt reason to its template
-// ("speculation failed in foo at bytecode 12" -> "speculation failed")
-// so per-reason aggregation across thousands of seeds keeps a small,
-// deterministic key set.
-func deoptReasonBucket(reason string) string {
-	if i := strings.Index(reason, " in "); i >= 0 {
-		return reason[:i]
-	}
-	if i := strings.Index(reason, " at "); i >= 0 {
-		return reason[:i]
-	}
-	return reason
-}
-
 // recordCompile accounts one successful compilation in stats.
-func (s *ExecStats) recordCompile(code CompiledCode, tier int, osr bool) {
+func (s *ExecStats) recordCompile(code CompiledCode, osr bool) {
+	tier := code.Tier()
 	for len(s.CompilationsByTier) < tier {
 		s.CompilationsByTier = append(s.CompilationsByTier, 0)
 	}
@@ -153,5 +129,5 @@ func (s *ExecStats) recordDeopt(reason string) {
 	if s.DeoptsByReason == nil {
 		s.DeoptsByReason = map[string]int64{}
 	}
-	s.DeoptsByReason[deoptReasonBucket(reason)]++
+	s.DeoptsByReason[reason]++
 }

@@ -64,9 +64,6 @@ func TestExecStatsMerge(t *testing.T) {
 	if len(a.CompilationsByTier) != 2 || a.CompilationsByTier[0] != 3 || a.CompilationsByTier[1] != 3 {
 		t.Errorf("CompilationsByTier = %v, want [3 3]", a.CompilationsByTier)
 	}
-	if a.TotalCompilations() != 6 {
-		t.Errorf("TotalCompilations = %d, want 6", a.TotalCompilations())
-	}
 	if a.PeakHeapWords != 100 {
 		t.Errorf("PeakHeapWords = %d, want max(100,40)=100", a.PeakHeapWords)
 	}
@@ -75,20 +72,6 @@ func TestExecStatsMerge(t *testing.T) {
 	}
 	if a.OptsByPass["gvn"] != 4 || a.GCCycles != 7 || a.OSRCompilations != 1 {
 		t.Errorf("merged stats wrong: %+v", a)
-	}
-}
-
-func TestDeoptReasonBucket(t *testing.T) {
-	cases := map[string]string{
-		"speculation failed in foo at bytecode 12": "speculation failed",
-		"speculation failed in bar at bytecode 99": "speculation failed",
-		"trap at pc 3": "trap",
-		"plain reason": "plain reason",
-	}
-	for in, want := range cases {
-		if got := deoptReasonBucket(in); got != want {
-			t.Errorf("deoptReasonBucket(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 
@@ -117,8 +100,8 @@ func TestInterpExecStats(t *testing.T) {
 		t.Errorf("interp-only split: InterpSteps=%d CompiledSteps=%d, run Steps=%d",
 			s.InterpSteps, s.CompiledSteps, res.Steps)
 	}
-	if s.TotalCompilations() != 0 {
-		t.Errorf("no JIT configured but TotalCompilations=%d", s.TotalCompilations())
+	if len(s.CompilationsByTier) != 0 {
+		t.Errorf("no JIT configured but CompilationsByTier=%v", s.CompilationsByTier)
 	}
 	if s.PeakHeapWords == 0 {
 		t.Error("allocating run reported PeakHeapWords=0")

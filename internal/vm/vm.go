@@ -38,14 +38,6 @@ type Config struct {
 	// disabled path costs one nil check per compilation/deopt/GC event
 	// and nothing per interpreted step.
 	CollectStats bool
-	// MaxOutputLines caps retained print lines (default 256); the
-	// rolling hash always covers everything.
-	MaxOutputLines int
-
-	// Speculate lets the optimizing tier use profile-guided
-	// speculation with uncommon traps (default true when JIT != nil;
-	// set via NoSpeculation).
-	NoSpeculation bool
 
 	// Scratch, when non-nil, supplies reusable per-worker memory
 	// (frame arena, heap backing, per-method state). It must not be
@@ -74,6 +66,9 @@ const (
 	// traceLimit caps the temperature vectors a JIT trace retains; its
 	// key and MaxTemp still cover every call.
 	traceLimit = 4096
+	// maxOutputLines caps the print lines an Output retains; its
+	// rolling hash still covers every line.
+	maxOutputLines = 256
 )
 
 func (c Config) withDefaults() Config {
@@ -85,9 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StepLimit == 0 {
 		c.StepLimit = 200_000_000
-	}
-	if c.MaxOutputLines == 0 {
-		c.MaxOutputLines = 256
 	}
 	return c
 }
@@ -175,7 +167,6 @@ type VM struct {
 	roots   []func(yield func(int64)) // active compiled-frame root scanners
 	popRoot func()                    // removes the newest root scanner
 	frames  []interpFrame             // active interpreter frames (GC roots)
-	unwound *Unwind                   // sticky first unwind (for crash precedence)
 
 	compilations int64
 	deopts       int64
@@ -191,7 +182,7 @@ func New(cfg Config, prog *bytecode.Program) *VM {
 	vm := &VM{
 		cfg:     cfg,
 		prog:    prog,
-		out:     newOutput(cfg.MaxOutputLines),
+		out:     newOutput(),
 		checkAt: cfg.StepLimit,
 	}
 	if cfg.Stop != nil {
@@ -488,8 +479,8 @@ func (vm *VM) compile(st *MethodState, tier, loopID int) (CompiledCode, *Unwind)
 		MethodIndex: st.Index,
 		Tier:        tier,
 		OSRLoopID:   loopID,
-		Profile:     st.Profile.Snapshot(),
-		Speculate:   !vm.cfg.NoSpeculation && !st.specDisabled,
+		Profile:     st.Profile,
+		Speculate:   !st.specDisabled,
 		Recompiles:  st.Compilations,
 	})
 	vm.compilations++
@@ -510,7 +501,7 @@ func (vm *VM) compile(st *MethodState, tier, loopID int) (CompiledCode, *Unwind)
 		return nil, &Unwind{Crash: fmt.Sprintf("JIT compiler crash (tier %d, method %s): %s", tier, st.Name, cerr.Msg)}
 	}
 	if vm.stats != nil {
-		vm.stats.recordCompile(code, code.Tier(), osr)
+		vm.stats.recordCompile(code, osr)
 	}
 	return code, nil
 }
