@@ -5,7 +5,7 @@
 GO      ?= go
 TIMEOUT ?= 9000s
 
-.PHONY: all build fmt vet test race resume blame-smoke fuzz-smoke bench bench-smoke bench-golden ci
+.PHONY: all build fmt vet test race resume blame-smoke fuzz-smoke bench bench-smoke bench-test bench-golden ci
 
 all: ci
 
@@ -43,8 +43,9 @@ blame-smoke:
 
 # Fuzz smoke: 20 s of native fuzzing of the bytecode verifier
 # (internal/bytecode FuzzVerify), 10 s of the front end (internal/bytecode
-# FuzzFrontEnd), 10 s of the JIT (internal/jit FuzzJIT) and 10 s of
-# journal recovery (internal/journal FuzzRecover). Verification must
+# FuzzFrontEnd), 10 s of the JIT on generated programs and their JoNM
+# mutants (internal/jit FuzzJIT) and 10 s of journal recovery
+# (internal/journal FuzzRecover). Verification must
 # never panic, and every program it accepts must run on the interpreter
 # without a Go runtime fault; the parser must never panic, printing what
 # it parses must reparse to the same text, and every analyzed program
@@ -86,6 +87,13 @@ bench-smoke:
 		-bench '^Benchmark(MutateCompile|Interpreter|TieredExecution|CompiledExecutor|CompiledExecutorTier1|JITCompileTier2|SeedGeneration|BlameGCMStoreSink)$$' \
 		. ./internal/blame/
 
+# Benchmark self-test: vet and test the campaignbench module (its own
+# go.mod, so `./...` above never reaches it). Its tests check that the
+# traced replica still mirrors the harness's signatures and run
+# accounting, which otherwise only a traced benchmark run exercises.
+bench-test:
+	cd campaignbench && $(GO) vet . && $(GO) test -count=1 -timeout $(TIMEOUT) .
+
 # Campaign golden gate: one short untraced run of every campaignbench
 # workload. Each run checks every round's finding signatures against the
 # goldens in campaignbench/suite.json and re-verifies every finding
@@ -96,4 +104,4 @@ bench-golden:
 		bash campaignbench/run.sh --workload $$w --seed 0 --seconds 1 --trace 0 || exit 1; \
 	done
 
-ci: fmt vet test race resume blame-smoke fuzz-smoke bench-smoke bench-golden
+ci: fmt vet test race resume blame-smoke fuzz-smoke bench-smoke bench-test bench-golden

@@ -10,6 +10,7 @@
 //	space -profile artlike prog.mj      # enumerate a user program
 //	space -buggy prog.mj                # hunt in the seeded-defect VM
 //	space -workers 8 prog.mj            # evaluate choices on 8 workers
+//	space -methods foo,bar prog.mj      # toggle only foo and bar (at most 16)
 //	space -metrics space.json           # per-choice execution metrics
 //
 // Choices are evaluated in parallel (each on a fresh VM) and reported
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -77,7 +79,11 @@ func main() {
 
 	var methods []string
 	if *methodsFlag != "" {
-		methods = strings.Split(*methodsFlag, ",")
+		if methods, err = parseMethods(*methodsFlag, prog); err != nil {
+			fmt.Fprintln(os.Stderr, "space:", err)
+			stopProf() // os.Exit skips defers
+			os.Exit(2)
+		}
 	} else {
 		for _, m := range prog.Class.Methods {
 			methods = append(methods, m.Name)
@@ -113,6 +119,29 @@ func main() {
 		stopProf() // os.Exit skips defers
 		os.Exit(3)
 	}
+}
+
+// maxMethods caps -methods: the space of n methods has 2^n choices,
+// and 16 methods make 65,536.
+const maxMethods = 16
+
+// parseMethods splits the comma-separated -methods list and checks it
+// against prog: at most maxMethods names, each naming a method of prog,
+// none twice.
+func parseMethods(list string, prog *ast.Program) ([]string, error) {
+	methods := strings.Split(list, ",")
+	if len(methods) > maxMethods {
+		return nil, fmt.Errorf("-methods names %d methods, at most %d allowed (%d choices)", len(methods), maxMethods, 1<<maxMethods)
+	}
+	for i, name := range methods {
+		switch {
+		case !slices.ContainsFunc(prog.Class.Methods, func(m *ast.Method) bool { return m.Name == name }):
+			return nil, fmt.Errorf("-methods: class %s has no method %q", prog.Class.Name, name)
+		case slices.Contains(methods[:i], name):
+			return nil, fmt.Errorf("-methods: method %q is named twice", name)
+		}
+	}
+	return methods, nil
 }
 
 // writeSpaceMetrics exports the enumerated space as deterministic JSON:

@@ -22,38 +22,16 @@ import (
 	"artemis/internal/vm"
 )
 
-// blamer adapts campaign findings to internal/blame: it picks the best
-// available reproducer source and pins each probe to the finding's
-// dedup signature.
-type blamer struct {
-	kc     KeepConfig
-	budget int
-}
-
-func newBlamer(opts CampaignOptions) *blamer {
-	return &blamer{kc: opts.Options.keepConfig(), budget: opts.BlameBudget}
-}
-
-// localize runs fault localization for one first-seen finding. src is
-// the best reproducer available (reduced > mutant; "" when the seed's
-// own default run crashed, in which case the seed is regenerated).
-// Returns nil for finding kinds with no cheap symptom predicate
-// (performance findings need timeout-priced probes).
-func (bl *blamer) localize(f Finding, src string) *blame.Result {
-	var prog *ast.Program
+// reproducer parses src, the best reproducer the campaign kept for f
+// (reduced > mutant), and regenerates f's seed when src is "" (the
+// seed's own default run crashed) or does not parse.
+func reproducer(f Finding, src string) *ast.Program {
 	if src != "" {
 		if p, err := parser.Parse(src); err == nil {
-			prog = p
+			return p
 		}
 	}
-	if prog == nil {
-		prog = fuzz.Generate(fuzz.Options{Seed: f.SeedID})
-	}
-	symptom := bl.kc.symptom(f.Kind, f.Signature, prog)
-	if symptom == nil {
-		return nil
-	}
-	return blame.Localize(prog, symptom, bl.kc.blameConfig(bl.budget))
+	return fuzz.Generate(fuzz.Options{Seed: f.SeedID})
 }
 
 // Blame fault-localizes prog, a program the -mode predicate
@@ -69,13 +47,22 @@ func (kc KeepConfig) Blame(prog *ast.Program, mode string) (*blame.Result, error
 	if sig == "" {
 		return nil, fmt.Errorf("program triggers no %s finding", mode)
 	}
-	return blame.Localize(prog, kc.symptom(kind, sig, prog), kc.blameConfig(0)), nil
+	return kc.localize(kind, sig, prog, 0), nil
 }
 
-// blameConfig localizes under the predicates' VM: the same profile,
-// defect set and step budget.
-func (kc KeepConfig) blameConfig(budget int) blame.Config {
-	return blame.Config{Profile: kc.Profile, Bugs: kc.Bugs, StepLimit: kc.limit(), Budget: budget}
+// localize is the one entry into blame, for campaigns and Blame alike:
+// it localizes the finding of kind with signature sig in prog under the
+// predicates' VM (the same profile, defect set and step budget), with
+// at most budget probe runs (0 = blame.DefaultBudget). Nil for finding
+// kinds with no cheap symptom predicate (performance findings need
+// timeout-priced probes) and for a mis-compilation whose interpreted
+// reference is inconclusive.
+func (kc KeepConfig) localize(kind FindingKind, sig string, prog *ast.Program, budget int) *blame.Result {
+	symptom := kc.symptom(kind, sig, prog)
+	if symptom == nil {
+		return nil
+	}
+	return blame.Localize(prog, symptom, blame.Config{Profile: kc.Profile, Bugs: kc.Bugs, StepLimit: kc.limit(), Budget: budget})
 }
 
 // symptom is "a probe still triggers the finding of kind with

@@ -256,9 +256,6 @@ func RunResumableCampaign(opts CampaignOptions) (*CampaignStats, error) {
 		}
 		m.corpus = c
 	}
-	if opts.Blame {
-		m.blamer = newBlamer(opts)
-	}
 	runCampaignParallel(opts, workers, m, cached)
 	m.stats.Elapsed = time.Since(start)
 	if m.journal != nil {
@@ -327,16 +324,7 @@ func EnumerateSpace(prof *profiles.Profile, prog *ast.Program, methods []string,
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		scratch := &vm.Scratch{}
-		for mask := 0; mask < total; mask++ {
-			runMask(mask, scratch)
-		}
-		return choices
-	}
+	workers = min(workers, total)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

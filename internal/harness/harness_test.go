@@ -198,12 +198,13 @@ func TestTraditionalOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := Compile(seedProg)
-	hit, runs := TraditionalDiscrepancy(bp, Options{Profile: prof, Buggy: false})
+	o := Options{Profile: prof, Buggy: false}
+	res := Validate(seedProg, 1, o)
+	hit, runs := TraditionalDiscrepancy(res.seedBP, res.seedRef, o)
 	if hit {
 		t.Error("correct VM flagged by traditional oracle")
 	}
-	if runs != 2 {
-		t.Errorf("expected 2 runs, got %d", runs)
+	if runs != 1 {
+		t.Errorf("expected 1 run (the seed's default run is Validate's reference), got %d", runs)
 	}
 }

@@ -5,14 +5,13 @@
 // A pool of workers fans seeds out to goroutines and a single reducer
 // merges per-seed outcomes **in seed order**, buffering out-of-order
 // arrivals, so CampaignStats — dedup order of Distinct, Examples
-// selection, Table 1/2/4 output — is byte-identical to a sequential
-// run for any worker count.
+// selection, Table 1/2/4 output — is byte-identical for any worker
+// count. Every count drives the same pool: one worker is a pool of one.
 
 package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -49,7 +48,7 @@ type seedOutcome struct {
 // scratch is this worker's reusable VM memory (may be nil) and stop
 // the seed's stop flag (may be nil); both are threaded into every run
 // of the chain, including the comparative baseline, which also reuses
-// the seed program Validate compiled.
+// the seed program Validate compiled and its default run's output.
 func runSeed(opts CampaignOptions, idx int, scratch *vm.Scratch, stop *atomic.Bool) (out seedOutcome) {
 	out.idx = idx
 	seedID := opts.SeedBase + int64(idx)
@@ -65,7 +64,6 @@ func runSeed(opts CampaignOptions, idx int, scratch *vm.Scratch, stop *atomic.Bo
 	seedProg := fuzz.Generate(fuzz.Options{Seed: seedID})
 
 	o := opts.Options
-	o.Rand = rand.New(rand.NewSource(seedID * 7919))
 	o.scratch = scratch
 	o.stop = stop
 	out.res = Validate(seedProg, seedID, o)
@@ -73,7 +71,7 @@ func runSeed(opts CampaignOptions, idx int, scratch *vm.Scratch, stop *atomic.Bo
 		return out
 	}
 	if opts.Comparative {
-		out.tradHit, out.tradRuns = TraditionalDiscrepancy(out.res.seedBP, o)
+		out.tradHit, out.tradRuns = TraditionalDiscrepancy(out.res.seedBP, out.res.seedRef, o)
 	}
 	return out
 }
@@ -145,13 +143,6 @@ type merger struct {
 	journal    *journal.Writer
 	corpus     *corpusWriter
 	persistErr error
-
-	// blamer, when non-nil (CampaignOptions.Blame), localizes every
-	// first-seen crash/mis-compilation finding on the reducer. Results
-	// attach to DedupFinding.Blame and, with a corpus, to blame.json.
-	// Never journaled: localization is deterministic given the
-	// reproducer, so resumes recompute identical results.
-	blamer *blamer
 }
 
 func newMerger(opts CampaignOptions, start time.Time) *merger {
@@ -227,11 +218,13 @@ func (m *merger) add(out seedOutcome) {
 				reproSrc = recorded
 			}
 		}
-		if m.blamer != nil {
+		if m.opts.Blame {
 			// Localize on the best reproducer (reduced > mutant >
 			// seed). Also on the reducer, also deterministic, so the
-			// blame table is identical at any worker count.
-			if res := m.blamer.localize(f, reproSrc); res != nil {
+			// blame table is identical at any worker count, and never
+			// journaled: resumes recompute identical results.
+			prog := reproducer(f, reproSrc)
+			if res := m.opts.keepConfig().localize(f.Kind, f.Signature, prog, m.opts.BlameBudget); res != nil {
 				m.stats.Distinct[len(m.stats.Distinct)-1].Blame = res
 				if m.corpus != nil {
 					if err := m.corpus.writeBlame(f.Signature, res); err != nil && m.persistErr == nil {
@@ -272,21 +265,6 @@ func runCampaignParallel(opts CampaignOptions, workers int, m *merger, cached ma
 	if workers > opts.Seeds && opts.Seeds > 0 {
 		workers = opts.Seeds
 	}
-	if workers <= 1 {
-		// Sequential fast path: same runSeed + merge code, no
-		// goroutines — workers=1 is the reference the determinism
-		// tests compare every other worker count against.
-		scratch := &vm.Scratch{}
-		for i := 0; i < opts.Seeds; i++ {
-			if out, ok := cached[i]; ok {
-				m.add(out)
-				continue
-			}
-			m.add(runSeedBounded(opts, i, scratch))
-		}
-		return
-	}
-
 	jobs := make(chan int)
 	outs := make(chan seedOutcome, workers)
 	var wg sync.WaitGroup

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -24,13 +23,11 @@ func TestStoppedRunsAreNeverFindings(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		o := Options{Profile: prof, MaxIter: 4, Buggy: true, StepLimit: 2_000_000}
 		prog := fuzz.Generate(fuzz.Options{Seed: seed})
-		o.Rand = rand.New(rand.NewSource(seed))
 		plain := Validate(prog, seed, o)
 		want := map[Finding]bool{}
 		for _, f := range plain.Findings {
 			want[f] = true
 		}
-		o.Rand = rand.New(rand.NewSource(seed))
 		o.stop = &stop
 		got := Validate(prog, seed, o)
 		for _, f := range got.Findings {
@@ -45,8 +42,8 @@ func TestStoppedRunsAreNeverFindings(t *testing.T) {
 			discarded++
 		}
 		if !plain.SeedDiscarded {
-			if hit, _ := TraditionalDiscrepancy(got.seedBP, o); hit {
-				if plainHit, _ := TraditionalDiscrepancy(plain.seedBP, Options{Profile: prof, Buggy: true, StepLimit: 2_000_000}); !plainHit {
+			if hit, _ := TraditionalDiscrepancy(plain.seedBP, plain.seedRef, o); hit {
+				if plainHit, _ := TraditionalDiscrepancy(plain.seedBP, plain.seedRef, Options{Profile: prof, Buggy: true, StepLimit: 2_000_000}); !plainHit {
 					t.Errorf("seed %d: stopped comparative baseline reports a discrepancy the full one does not", seed)
 				}
 			}

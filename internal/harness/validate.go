@@ -139,8 +139,6 @@ type Options struct {
 	// Buggy selects the seeded-defect VM (true for campaigns; false
 	// to validate the validator).
 	Buggy bool
-	// Rand seeds mutation randomness.
-	Rand *rand.Rand
 	// Mutators / DisableSkeletons forward to jonm for ablation
 	// studies.
 	Mutators         []jonm.MutatorName
@@ -173,9 +171,6 @@ func (o Options) withDefaults() Options {
 	if o.StepLimit == 0 {
 		o.StepLimit = defaultStepLimit
 	}
-	if o.Rand == nil {
-		o.Rand = rand.New(rand.NewSource(1))
-	}
 	return o
 }
 
@@ -186,17 +181,6 @@ func (o Options) bugSet() bugs.Set {
 		return o.Profile.BugSet()
 	}
 	return nil
-}
-
-func (o Options) mutationConfig() *jonm.Config {
-	return &jonm.Config{
-		Min:              o.Profile.SynMin,
-		Max:              o.Profile.SynMax,
-		StepMax:          o.Profile.SynStepMax,
-		Rand:             o.Rand,
-		Mutators:         o.Mutators,
-		DisableSkeletons: o.DisableSkeletons,
-	}
 }
 
 // runConfig applies o's per-run settings to cfg: the step budget, the
@@ -232,16 +216,19 @@ type Result struct {
 	// over this seed's runs; nil unless Options.CollectMetrics.
 	Metrics *SeedMetrics
 
-	// seedBP is the seed's compiled program, kept so downstream stages
-	// (the comparative baseline in runSeed) reuse it instead of
-	// compiling the seed a second time. Nil when Validate bailed before
-	// compiling (worker panic).
-	seedBP *bytecode.Program
+	// seedBP and seedRef are the seed's compiled program and the output
+	// of its default run, kept so the comparative baseline in runSeed
+	// reuses both instead of compiling and running the seed again. Nil
+	// when Validate bailed before compiling (worker panic).
+	seedBP  *bytecode.Program
+	seedRef *vm.Output
 }
 
 // Validate implements Algorithm 1 for one seed program: run the seed
 // with its default JIT-trace, then MAX_ITER JoNM mutants with theirs,
-// and report every output discrepancy as a JIT-compiler bug.
+// and report every output discrepancy as a JIT-compiler bug. The
+// mutation RNG is derived from seedID alone, so a seed's mutants do not
+// depend on which worker validates it, or when.
 func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 	o = o.withDefaults()
 	set := o.bugSet()
@@ -266,6 +253,7 @@ func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 	seedBP := bytecode.MustCompile(seedInfo)
 	res.seedBP = seedBP
 	ref := record(runProgram(o, set, seedBP)).Output
+	res.seedRef = ref
 	if !ref.Conclusive() {
 		res.SeedDiscarded = true
 		return res
@@ -278,8 +266,15 @@ func Validate(seedProg *ast.Program, seedID int64, o Options) *Result {
 		return res
 	}
 
-	mcfg := o.mutationConfig()
-	mcfg.SeedInfo = seedInfo
+	mcfg := &jonm.Config{
+		Min:              o.Profile.SynMin,
+		Max:              o.Profile.SynMax,
+		StepMax:          o.Profile.SynStepMax,
+		Rand:             rand.New(rand.NewSource(seedID * 7919)),
+		Mutators:         o.Mutators,
+		DisableSkeletons: o.DisableSkeletons,
+		SeedInfo:         seedInfo,
+	}
 	for i := 0; i < o.MaxIter; i++ {
 		mutant, rep, err := jonm.Mutate(seedProg, mcfg)
 		if err != nil {
@@ -378,26 +373,21 @@ func newFinding(o Options, seedID int64, mutantID int, ref, out *vm.Output) Find
 }
 
 // TraditionalDiscrepancy implements the baseline of Section 4.3: run
-// the seed with its default JIT-trace, then again with every method
-// force-compiled before its first call (the -Xjit:count=0 analogue),
-// and compare. No mutants, no compilation-space exploration.
-func TraditionalDiscrepancy(seedBP *bytecode.Program, o Options) (bool, int) {
-	o = o.withDefaults()
-	set := o.bugSet()
-	ref := runProgram(o, set, seedBP).Output
-	runs := 1
+// the seed with every method force-compiled before its first call (the
+// -Xjit:count=0 analogue) and compare the output with ref, the seed's
+// default run (Validate's reference). No mutants, no compilation-space
+// exploration. It returns whether the two runs differ and how many runs
+// it performed: none when ref is inconclusive.
+func TraditionalDiscrepancy(seedBP *bytecode.Program, ref *vm.Output, o Options) (bool, int) {
 	if !ref.Conclusive() {
-		return false, runs
+		return false, 0
 	}
-	cfg := o.runConfig(o.Profile.VMConfigWithBugs(set), false)
+	o = o.withDefaults()
+	cfg := o.runConfig(o.Profile.VMConfigWithBugs(o.bugSet()), false)
 	cfg.Policy = &vm.ForcedPolicy{
 		Tier:    o.Profile.MaxTier,
 		Compile: func(string, int64) bool { return true },
 	}
 	full := vm.Run(cfg, seedBP).Output
-	runs++
-	if !full.Conclusive() {
-		return false, runs
-	}
-	return !full.Equivalent(ref), runs
+	return full.Conclusive() && !full.Equivalent(ref), 1
 }

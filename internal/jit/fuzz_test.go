@@ -1,21 +1,25 @@
 package jit
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
 	"artemis/internal/bytecode"
 	"artemis/internal/fuzz"
-	"artemis/internal/lang/parser"
+	"artemis/internal/jonm"
 	"artemis/internal/lang/sem"
 	"artemis/internal/vm"
 )
 
-// fuzzStepLimit bounds each FuzzJIT run; fuzzed programs may loop.
+// fuzzStepLimit bounds each FuzzJIT run; generated programs may loop.
 const fuzzStepLimit = 2_000_000
 
 // FuzzJIT checks the correct JIT, with the IR validator on, on
-// arbitrary MJ source text:
+// generated programs: fuzz.Generate(seed) when mutant is 0, and
+// otherwise one JoNM mutant of it, drawn with mutant as the mutation
+// RNG's seed. Every input is a valid program, so every input reaches
+// the JIT:
 //   - every regular and OSR compile request at tiers 1 and 2 succeeds,
 //     except an OSR request at a loop header no path from the method
 //     entry reaches, which fails benignly (no OSR entry);
@@ -24,33 +28,39 @@ const fuzzStepLimit = 2_000_000
 //     conclusive.
 //
 // Tier-2 requests carry the profile an interpreted run collected, so
-// speculation, guards and their frame states are compiled too.
+// speculation, guards and their frame states are compiled too. The
+// mutants' synthesized loops run at most a hundred iterations (a
+// campaign's run thousands, to heat methods up; forced compilation
+// needs no heat), so most forced runs end inside fuzzStepLimit and are
+// compared.
 func FuzzJIT(f *testing.F) {
-	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := parser.Parse(src)
-		if err != nil {
-			return
+	f.Fuzz(func(t *testing.T, seed int64, mutant uint8) {
+		prog := fuzz.Generate(fuzz.Options{Seed: seed})
+		info := sem.MustAnalyze(prog)
+		bp := bytecode.MustCompile(info)
+		if mutant != 0 {
+			_, rep, err := jonm.Mutate(prog, &jonm.Config{
+				Min: 20, Max: 100, StepMax: 4,
+				Rand:     rand.New(rand.NewSource(int64(mutant))),
+				SeedInfo: info,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp = bytecode.MustCompileDelta(rep.Info, bp, rep.Mutated)
 		}
-		info, err := sem.Analyze(prog)
-		if err != nil {
-			return
-		}
-		bp, err := bytecode.Compile(info)
-		if err != nil {
-			return // FuzzFrontEnd's property, not the JIT's
-		}
-		checkEveryRequest(t, bp)
-		checkForcedRuns(t, bp)
+		checkForcedRuns(t, bp, checkEveryRequest(t, bp))
 	})
 }
 
 // checkEveryRequest requests every regular and OSR entry of every
 // method of bp at tiers 1 and 2 and fails on any error but the benign
-// one for an unreachable loop header.
-func checkEveryRequest(t *testing.T, bp *bytecode.Program) {
+// one for an unreachable loop header. It returns the output of the
+// interpreted run whose profile the requests carry.
+func checkEveryRequest(t *testing.T, bp *bytecode.Program) *vm.Output {
 	t.Helper()
 	interp := vm.New(vm.Config{StepLimit: fuzzStepLimit}, bp)
-	interp.Run()
+	ref := interp.Run().Output
 	jit := New(Options{MaxTier: 2, ValidateIR: true})
 	for mi, m := range bp.Methods {
 		depths := bytecode.StackDepths(m)
@@ -71,13 +81,13 @@ func checkEveryRequest(t *testing.T, bp *bytecode.Program) {
 			}
 		}
 	}
+	return ref
 }
 
-// checkForcedRuns compares forced tier-1 and tier-2 runs of bp with the
-// interpreter's.
-func checkForcedRuns(t *testing.T, bp *bytecode.Program) {
+// checkForcedRuns compares forced tier-1 and tier-2 runs of bp with ref,
+// the interpreter's output.
+func checkForcedRuns(t *testing.T, bp *bytecode.Program, ref *vm.Output) {
 	t.Helper()
-	ref := vm.Run(vm.Config{StepLimit: fuzzStepLimit}, bp).Output
 	if !ref.Conclusive() {
 		return
 	}

@@ -14,7 +14,6 @@ package vm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 
 	"artemis/internal/lang/ast"
@@ -99,23 +98,43 @@ type Output struct {
 	Steps  int64  // abstract interpreter steps consumed
 }
 
-func newOutput() *Output {
-	return &Output{hash: fnv.New64a().Sum64()}
-}
+func newOutput() *Output { return &Output{hash: fnvOffset64} }
 
-func (o *Output) addLine(s string) {
+// addLine records one printed line: it is copied into a string only
+// while it is among the first maxOutputLines, and always folded into
+// the digest.
+func (o *Output) addLine(line []byte) {
 	if len(o.Lines) < maxOutputLines {
-		o.Lines = append(o.Lines, s)
+		o.Lines = append(o.Lines, string(line))
 	}
 	o.NLines++
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(o.hash >> (8 * i))
+	o.hash = fnvBytes(fnvWord(fnvOffset64, o.hash), line)
+}
+
+// The print stream and the JIT trace (trace.go) are digested with
+// 64-bit FNV-1a, hash/fnv's New64a, folded inline into a running
+// uint64: recording a line or a call builds no hasher and copies no
+// bytes. Each step restarts from the offset basis and folds the
+// previous digest in first, as eight little-endian bytes.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvBytes folds the bytes of b into the FNV-1a state h.
+func fnvBytes[B string | []byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime64
 	}
-	h.Write(b[:])
-	h.Write([]byte(s))
-	o.hash = h.Sum64()
+	return h
+}
+
+// fnvWord folds x into the FNV-1a state h as eight little-endian bytes.
+func fnvWord(h, x uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h = (h ^ uint64(byte(x>>i))) * fnvPrime64
+	}
+	return h
 }
 
 // Hash returns a digest of the full print stream.
@@ -138,18 +157,15 @@ func (o *Output) Equivalent(p *Output) bool {
 	return o.Key() == p.Key()
 }
 
-// formatValue renders a printed value the way the interpreter, both
-// JIT tiers, and the test oracle must agree on.
-func formatValue(kind ast.Kind, v int64) string {
+// appendValue appends a printed value to b, rendered the way the
+// interpreter, both JIT tiers, and the test oracle must agree on.
+func appendValue(b []byte, kind ast.Kind, v int64) []byte {
 	switch kind {
 	case ast.KindBoolean:
-		if v != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v != 0)
 	case ast.KindInt:
-		return strconv.FormatInt(int64(int32(v)), 10)
+		return strconv.AppendInt(b, int64(int32(v)), 10)
 	default:
-		return strconv.FormatInt(v, 10)
+		return strconv.AppendInt(b, v, 10)
 	}
 }

@@ -356,19 +356,8 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 					}
 					if osrCode != nil {
 						vm.osrEntries++
-						if tv != nil {
-							tv.Temps = append(tv.Temps, osrCode.Tier())
-						}
 						vm.frames[fi].sp = sp
-						res := osrCode.Run(vm, locals)
-						switch res.Kind {
-						case ExecReturn:
-							return res.Value, nil
-						case ExecUnwind:
-							return 0, res.Unwind
-						case ExecDeopt:
-							return vm.handleDeopt(st, res.Deopt, tv)
-						}
+						return vm.runCompiled(st, osrCode, locals, tv)
 					}
 				}
 			}

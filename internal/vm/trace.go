@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -44,7 +43,7 @@ type JITTrace struct {
 }
 
 func newJITTrace(maxKeep int) *JITTrace {
-	return &JITTrace{maxKeep: maxKeep, hash: fnv.New64a().Sum64()}
+	return &JITTrace{maxKeep: maxKeep, hash: fnvOffset64}
 }
 
 func (t *JITTrace) add(v TempVector) {
@@ -64,23 +63,13 @@ func (t *JITTrace) add(v TempVector) {
 	// unframed concatenation let {Method:"a", Temps:[1]} and
 	// {Method:"a\x01", Temps:[]} collide, silently merging two distinct
 	// compilation-space points of Definition 3.3.)
-	h := fnv.New64a()
-	var b [8]byte
-	put64 := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(x >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put64(t.hash)
-	put64(uint64(len(v.Method)))
-	h.Write([]byte(v.Method))
-	put64(uint64(v.CallIndex))
-	put64(uint64(len(v.Temps)))
+	h := fnvWord(fnvOffset64, t.hash)
+	h = fnvBytes(fnvWord(h, uint64(len(v.Method))), v.Method)
+	h = fnvWord(fnvWord(h, uint64(v.CallIndex)), uint64(len(v.Temps)))
 	for _, tm := range v.Temps {
-		h.Write([]byte{byte(tm)})
+		h = (h ^ uint64(byte(tm))) * fnvPrime64
 	}
-	t.hash = h.Sum64()
+	t.hash = h
 }
 
 // Hash digests the whole trace; two runs took the same JIT trace iff

@@ -1,6 +1,10 @@
 package vm
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+)
 
 func traceOf(vecs ...TempVector) *JITTrace {
 	tr := newJITTrace(16)
@@ -75,5 +79,50 @@ func TestTraceHashDeterministic(t *testing.T) {
 	}
 	if full.Hash() == traceOf(vecs[:2]...).Hash() {
 		t.Error("prefix trace hashes like the full trace")
+	}
+}
+
+// TestDigestsAreFNV1a pins the inline fold that both digests share to
+// hash/fnv's 64-bit FNV-1a over the framed byte streams: each step
+// hashes the previous digest as eight little-endian bytes and then the
+// new line, or the new vector with its length prefixes.
+func TestDigestsAreFNV1a(t *testing.T) {
+	step := func(prev uint64, parts ...[]byte) uint64 {
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64(nil, prev))
+		for _, p := range parts {
+			h.Write(p)
+		}
+		return h.Sum64()
+	}
+	word := func(x uint64) []byte { return binary.LittleEndian.AppendUint64(nil, x) }
+
+	out := newOutput()
+	want := fnv.New64a().Sum64()
+	for _, line := range []string{"", "-9223372036854775808", "true", "42"} {
+		out.addLine([]byte(line))
+		want = step(want, []byte(line))
+	}
+	if out.Hash() != want {
+		t.Errorf("output digest %016x, hash/fnv gives %016x", out.Hash(), want)
+	}
+
+	tr := newJITTrace(1)
+	want = fnv.New64a().Sum64()
+	for _, v := range []TempVector{
+		{Method: "main", CallIndex: 1, Temps: []int{0}},
+		{Method: "f", CallIndex: 300, Temps: []int{0, 2, 0}},
+		{Method: "", CallIndex: 2},
+	} {
+		tr.add(v)
+		temps := make([]byte, len(v.Temps))
+		for i, tm := range v.Temps {
+			temps[i] = byte(tm)
+		}
+		want = step(want, word(uint64(len(v.Method))), []byte(v.Method),
+			word(uint64(v.CallIndex)), word(uint64(len(v.Temps))), temps)
+	}
+	if tr.Hash() != want {
+		t.Errorf("trace digest %016x, hash/fnv gives %016x", tr.Hash(), want)
 	}
 }

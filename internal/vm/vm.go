@@ -506,7 +506,8 @@ func (vm *VM) compile(st *MethodState, tier, loopID int) (CompiledCode, *Unwind)
 	return code, nil
 }
 
-// runCompiled executes compiled code for a regular method entry and
+// runCompiled executes compiled code, a regular entry given the call's
+// arguments or an OSR entry given the interpreted frame's locals, and
 // handles deopt by resuming interpretation.
 func (vm *VM) runCompiled(st *MethodState, code CompiledCode, args []int64, tv *TempVector) (int64, *Unwind) {
 	if tv != nil {
@@ -563,8 +564,13 @@ func (vm *VM) GetField(i int) int64 { return vm.fields[i] }
 // SetField implements Env.
 func (vm *VM) SetField(i int, v int64) { vm.fields[i] = v }
 
-// Print implements Env.
-func (vm *VM) Print(kind ast.Kind, v int64) { vm.out.addLine(formatValue(kind, v)) }
+// Print implements Env. The value is formatted into a stack buffer
+// (an int64 prints in at most 20 bytes), so a line past the first
+// maxOutputLines allocates nothing.
+func (vm *VM) Print(kind ast.Kind, v int64) {
+	var buf [20]byte
+	vm.out.addLine(appendValue(buf[:0], kind, v))
+}
 
 // Step implements Env: consume abstract execution budget. Only
 // compiled code charges through here (the interpreter counts inline),
