@@ -56,11 +56,17 @@ blame-smoke:
 # prints; recovery must never panic, and re-framing what it recovers
 # must reproduce the intact prefix byte for byte. FuzzFrontEnd and
 # FuzzJIT skip minimizing new inputs, which can stall a short run for
-# most of its time. `go test ./...` replays only the checked-in corpora.
+# most of its time. Nearly every FuzzJIT input adds coverage, so the
+# fuzz cache would grow by hundreds of inputs a run and the next run
+# would spend its time replaying them: FuzzJIT runs with a throwaway
+# GOCACHE, whose fuzz cache starts empty (the fresh build adds about
+# 20 s on 2 vCPUs). A failing input still lands in testdata/fuzz.
+# `go test ./...` replays only the checked-in corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime 20s ./internal/bytecode/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/bytecode/
-	$(GO) test -run '^$$' -fuzz '^FuzzJIT$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/jit/
+	cache=$$(mktemp -d) && GOCACHE=$$cache $(GO) test -run '^$$' -fuzz '^FuzzJIT$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/jit/; \
+		status=$$?; rm -rf "$$cache"; exit $$status
 	$(GO) test -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s ./internal/journal/
 
 # Resume-determinism gate: interrupt+resume must be byte-identical to

@@ -58,6 +58,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	flag.Parse()
+	if err := checkCounts(*seeds, *iters, *steps); err != nil {
+		fmt.Fprintln(os.Stderr, "artemis:", err)
+		os.Exit(2)
+	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -65,7 +69,6 @@ func main() {
 	}
 	defer stopProf()
 
-	collectMetrics := *metricsOut != ""
 	persisting := *journalPath != "" || *corpusDir != ""
 	if *resume && *journalPath == "" {
 		fatal(fmt.Errorf("-resume requires -journal"))
@@ -74,6 +77,19 @@ func main() {
 	var progress func(harness.Progress)
 	if !*quiet {
 		progress = harness.StderrProgress(2 * time.Second)
+	}
+	// Every mode runs these options; each sets only its profile and
+	// what else sets it apart.
+	opts := harness.CampaignOptions{
+		Options: harness.Options{
+			MaxIter: *iters, Buggy: true,
+			StepLimit: *steps, CollectMetrics: *metricsOut != "",
+		},
+		Seeds: *seeds, SeedBase: *seedBase,
+		Workers: *workers, SeedTimeout: *seedTimeout, Progress: progress,
+		JournalPath: *journalPath, Resume: *resume,
+		CorpusDir: *corpusDir, ReduceBudget: *reduceBudget,
+		Blame: *blameOn || *table1, BlameBudget: *blameBudget,
 	}
 
 	switch {
@@ -84,16 +100,8 @@ func main() {
 		var all []*harness.CampaignStats
 		for _, prof := range profiles.All() {
 			fmt.Fprintf(os.Stderr, "campaign: %s (%d seeds x %d mutants)...\n", prof.Name, *seeds, *iters)
-			stats := harness.RunCampaign(harness.CampaignOptions{
-				Options: harness.Options{
-					Profile: prof, MaxIter: *iters, Buggy: true,
-					StepLimit: *steps, CollectMetrics: collectMetrics,
-				},
-				Seeds: *seeds, SeedBase: *seedBase,
-				Workers: *workers, SeedTimeout: *seedTimeout, Progress: progress,
-				Blame: *blameOn || *table1, BlameBudget: *blameBudget,
-			})
-			all = append(all, stats)
+			opts.Profile = prof
+			all = append(all, harness.RunCampaign(opts))
 		}
 		if *table1 {
 			fmt.Println(harness.FormatTable1(all))
@@ -114,17 +122,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "comparative campaign: openj9like (%d seeds)...\n", *seeds)
-		stats := harness.RunCampaign(harness.CampaignOptions{
-			Options: harness.Options{
-				Profile: prof, MaxIter: *iters, Buggy: true, StepLimit: *steps,
-				CollectMetrics: collectMetrics,
-			},
-			Seeds:       *seeds,
-			SeedBase:    *seedBase,
-			Comparative: true,
-			Workers:     *workers, SeedTimeout: *seedTimeout, Progress: progress,
-			Blame: *blameOn, BlameBudget: *blameBudget,
-		})
+		opts.Profile, opts.Comparative = prof, true
+		stats := harness.RunCampaign(opts)
 		fmt.Println(harness.FormatTable4(stats))
 		if *blameOn {
 			fmt.Println(harness.FormatBlameTable([]*harness.CampaignStats{stats}))
@@ -135,18 +134,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		buggy := !*selfcheck
-		stats, err := harness.RunResumableCampaign(harness.CampaignOptions{
-			Options: harness.Options{
-				Profile: prof, MaxIter: *iters, Buggy: buggy,
-				StepLimit: *steps, CollectMetrics: collectMetrics,
-			},
-			Seeds: *seeds, SeedBase: *seedBase,
-			Workers: *workers, SeedTimeout: *seedTimeout, Progress: progress,
-			JournalPath: *journalPath, Resume: *resume,
-			CorpusDir: *corpusDir, ReduceBudget: *reduceBudget,
-			Blame: *blameOn, BlameBudget: *blameBudget,
-		})
+		opts.Profile, opts.Buggy = prof, !*selfcheck
+		stats, err := harness.RunResumableCampaign(opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -181,6 +170,21 @@ func main() {
 		}
 		writeMetrics(*metricsOut, []*harness.CampaignStats{stats})
 	}
+}
+
+// checkCounts rejects campaign sizes that name no campaign: a negative
+// seed count or step budget (a budget of 0 is the default one) and
+// fewer than one mutant per seed.
+func checkCounts(seeds, iters int, steps int64) error {
+	switch {
+	case seeds < 0:
+		return fmt.Errorf("-seeds %d: must not be negative", seeds)
+	case iters < 1:
+		return fmt.Errorf("-iters %d: must be at least 1", iters)
+	case steps < 0:
+		return fmt.Errorf("-steps %d: must not be negative (0 = default)", steps)
+	}
+	return nil
 }
 
 // writeMetrics writes the deterministic metrics JSON to path and prints

@@ -16,7 +16,9 @@
 // Exit status: 0 on success, 1 when the input program does not
 // trigger the finding at all (the keep(original) precondition — there
 // is nothing to reduce, and proceeding would shrink toward an
-// unrelated program), 2 on usage errors.
+// unrelated program), 2 on usage errors: bad flags or arguments, an
+// unknown -profile or -mode, or a program that cannot be read or
+// parsed.
 //
 // Candidates are tested on GOMAXPROCS cores at once and committed in
 // candidate order, so the output is that of a one-at-a-time reduction.
@@ -69,32 +71,31 @@ func run(args []string, stdout, stderr io.Writer, workers int) int {
 	} else if err != nil {
 		return 2
 	}
-	fail := func(err error) int {
+	usage := func(err error) int {
 		fmt.Fprintln(stderr, "mjreduce:", err)
-		return 1
+		return 2
 	}
 
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: mjreduce [flags] program.mj")
 		return 2
 	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(err)
-	}
-	prog, err := parser.Parse(string(data))
-	if err != nil {
-		return fail(err)
-	}
 	prof, err := profiles.Get(*profileName)
 	if err != nil {
-		return fail(err)
+		return usage(err)
 	}
-
 	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: *steps}
 	keep, err := kc.TestForMode(*mode)
 	if err != nil {
-		return fail(err)
+		return usage(err)
+	}
+	data, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return usage(err)
+	}
+	prog, err := parser.Parse(string(data))
+	if err != nil {
+		return usage(err)
 	}
 
 	before := ast.ProgramSize(prog)

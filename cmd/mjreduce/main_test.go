@@ -120,3 +120,35 @@ func TestStepsDefaultsToCampaignBudget(t *testing.T) {
 		t.Errorf("-steps has a non-zero default:\n%s", steps)
 	}
 }
+
+// TestExitStatus: exit 1 is reserved for an input that does not
+// trigger the finding; every usage error, an unknown -profile or -mode
+// included, exits 2 before any program runs.
+func TestExitStatus(t *testing.T) {
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.mj")
+	if err := os.WriteFile(clean, []byte("class T { void main() { print(1); } }"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	broken := filepath.Join(dir, "broken.mj")
+	if err := os.WriteFile(broken, []byte("class T {"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{clean}, 1},
+		{[]string{"-mode", "bogus", clean}, 2},
+		{[]string{"-profile", "nosuch", clean}, 2},
+		{[]string{filepath.Join(dir, "missing.mj")}, 2},
+		{[]string{broken}, 2},
+		{[]string{clean, clean}, 2},
+		{[]string{"-nosuchflag", clean}, 2},
+	} {
+		var stderr bytes.Buffer
+		if code := run(tc.args, io.Discard, &stderr, 1); code != tc.want {
+			t.Errorf("mjreduce %s: exit %d, want %d: %s", strings.Join(tc.args, " "), code, tc.want, stderr.String())
+		}
+	}
+}

@@ -168,11 +168,11 @@ func (c *corpusWriter) record(f Finding, mutantSrc string) (string, error) {
 		SeedID:    f.SeedID,
 		MutantID:  f.MutantID,
 	}
-	reduced, note := c.autoReduce(f, reproSrc)
+	reduced, size, note := c.autoReduce(f, reproSrc)
 	cf.ReduceNote = note
 	if reduced != nil {
 		cf.Reduced = true
-		cf.SizeStatements = mustSize(reproSrc)
+		cf.SizeStatements = size
 		cf.ReducedSize = ast.ProgramSize(reduced)
 		reproSrc = ast.Print(reduced)
 		if err := os.WriteFile(filepath.Join(dir, "reduced.mj"), []byte(reproSrc), 0o644); err != nil {
@@ -213,36 +213,28 @@ func (c *corpusWriter) writeBlame(signature string, res *blame.Result) error {
 // autoReduce shrinks the reproducer under the signature-preserving
 // predicate, spending at most c.budget predicate evaluations (counted
 // as a one-at-a-time reduction counts them, so the reduced program does
-// not depend on c.workers). It
-// returns nil (with a reason) when the finding kind has no in-campaign
-// predicate, reduction is disabled, or the reproducer does not satisfy
-// the predicate standalone (e.g. a discrepancy only observable against
-// the original seed reference).
-func (c *corpusWriter) autoReduce(f Finding, src string) (*ast.Program, string) {
+// not depend on c.workers), and returns the reduced program with the
+// reproducer's statement count. It returns nil (with a reason) when the
+// finding kind has no in-campaign predicate, reduction is disabled, or
+// the reproducer does not satisfy the predicate standalone (e.g. a
+// discrepancy only observable against the original seed reference).
+func (c *corpusWriter) autoReduce(f Finding, src string) (*ast.Program, int, string) {
 	if c.budget < 0 {
-		return nil, "auto-reduction disabled (ReduceBudget < 0)"
+		return nil, 0, "auto-reduction disabled (ReduceBudget < 0)"
 	}
 	keep := keepForFinding(c.kc, f)
 	if keep == nil {
-		return nil, fmt.Sprintf("no in-campaign predicate for %s findings", f.Kind)
+		return nil, 0, fmt.Sprintf("no in-campaign predicate for %s findings", f.Kind)
 	}
 	prog, err := parser.Parse(src)
 	if err != nil {
 		// Printed sources always reparse; failure here is a harness
 		// bug worth recording, not worth killing the campaign over.
-		return nil, fmt.Sprintf("reproducer does not reparse: %v", err)
+		return nil, 0, fmt.Sprintf("reproducer does not reparse: %v", err)
 	}
 	reduced, ok := reduce.ReduceParallel(prog, keep, c.workers, reduce.Options{MaxEvals: c.budget})
 	if !ok {
-		return nil, "reproducer does not re-trigger the signature standalone; stored unreduced"
+		return nil, 0, "reproducer does not re-trigger the signature standalone; stored unreduced"
 	}
-	return reduced, ""
-}
-
-func mustSize(src string) int {
-	p, err := parser.Parse(src)
-	if err != nil {
-		return 0
-	}
-	return ast.ProgramSize(p)
+	return reduced, ast.ProgramSize(prog), ""
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"artemis/internal/bugs"
+	"artemis/internal/bytecode"
 	"artemis/internal/jit/ir"
 	"artemis/internal/vm"
 )
@@ -175,12 +176,6 @@ func (op mop) regFields() (d, a, b bool) {
 	return true, true, true // binary operators, compares, array loads and stores
 }
 
-type mswitch struct {
-	vals    []int64
-	targets []int
-	deflt   int
-}
-
 // loc describes where a deopt frame value lives.
 type loc struct {
 	isConst bool
@@ -220,7 +215,7 @@ type Code struct {
 	// Side tables for operands that do not fit a word.
 	callRegs []int32 // argument slots of every mCall
 	maxArgs  int     // the most arguments any mCall passes
-	switches []mswitch
+	switches []bytecode.SwitchTable
 	deopts   []deoptSite
 	pairs    []mpair // the moves of every group
 	// consts is the constant area: frame slots frameSize+i hold
@@ -595,14 +590,12 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 				crashf("Code Generation", "dense switch lowering: %d entries", len(b.Cases))
 			}
 			tagReg := ensureIn(b.Ctrl)
-			c.switches = append(c.switches, mswitch{deflt: -1})
-			si := len(c.switches) - 1
-			idx := emit(minstr{op: mSwitch, a: tagReg, b: int32(si)})
-			tbl := &c.switches[si]
-			for _, cse := range b.Cases {
-				tbl.vals = append(tbl.vals, cse.Value)
-				tbl.targets = append(tbl.targets, -1)
-				patches = append(patches, patch{ins: idx, target: b.Succs[cse.Succ], tblIdx: len(tbl.targets) - 1})
+			entries := make([]bytecode.SwitchEntry, len(b.Cases))
+			idx := emit(minstr{op: mSwitch, a: tagReg, b: int32(len(c.switches))})
+			c.switches = append(c.switches, bytecode.SwitchTable{Entries: entries})
+			for i, cse := range b.Cases {
+				entries[i].Value = cse.Value
+				patches = append(patches, patch{ins: idx, target: b.Succs[cse.Succ], tblIdx: i})
 			}
 			patches = append(patches, patch{ins: idx, target: b.Succs[b.DefaultSucc], tblIdx: -2})
 			for _, s := range b.Succs {
@@ -627,9 +620,9 @@ func lower(f *ir.Func, tier int, bugSet bugs.Set) *Code {
 		case p.tblIdx == -1:
 			in.imm = int64(t)
 		case p.tblIdx == -2:
-			c.switches[in.b].deflt = t
+			c.switches[in.b].Default = t
 		default:
-			c.switches[in.b].targets[p.tblIdx] = t
+			c.switches[in.b].Entries[p.tblIdx].Target = t
 		}
 	}
 	c.frameSize = int(next)

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,6 +107,56 @@ func TestCompiledIntWrapping(t *testing.T) {
             print(s);
         }
     }`)
+}
+
+// TestDivisionCornerCases pins division and remainder at their edges
+// by value, for both widths: MIN / -1 wraps to MIN, MIN % -1 is 0, and
+// x / 0 and x % 0 throw. The operands are parameters, which the
+// constant folder never sees, so every mode divides at run time.
+func TestDivisionCornerCases(t *testing.T) {
+	const methods = `class T {
+        long divL(long a, long b) { return a / b; }
+        long remL(long a, long b) { return a % b; }
+        int divI(int a, int b) { return a / b; }
+        int remI(int a, int b) { return a % b; }`
+	check := func(out *vm.Output, term vm.TermKind, detail string, lines ...string) {
+		t.Helper()
+		if out.Term != term || out.Detail != detail || !slices.Equal(out.Lines, lines) {
+			t.Errorf("interpreter: %v %q %q, want %v %q %q", out.Term, out.Detail, out.Lines, term, detail, lines)
+		}
+	}
+	out := runModes(t, methods+`
+        void main() {
+            long minL = -9223372036854775807L - 1L;
+            int minI = -2147483647 - 1;
+            long acc = 0L;
+            for (int i = 0; i < 300; i++) {
+                acc += divL(minL, -1L) + remL(minL, -1L) + divI(minI, -1) + remI(minI, -1);
+            }
+            print(acc);
+            print(divL(minL, -1L));
+            print(remL(minL, -1L));
+            print(divI(minI, -1));
+            print(remI(minI, -1));
+        }
+    }`)
+	check(out, vm.TermNormal, "", "-644245094400", "-9223372036854775808", "0", "-2147483648", "0")
+
+	// Each trap ends its run, so each gets a program of its own; the
+	// warm-up calls compile the method before the trapping one.
+	for _, tc := range []struct{ method, sum string }{
+		{"divL", "43838"}, {"remL", "21958"}, {"divI", "43838"}, {"remI", "21958"},
+	} {
+		out := runModes(t, methods+`
+        void main() {
+            long acc = 0L;
+            for (int i = 1; i <= 300; i++) { acc += `+tc.method+`(7000, i); }
+            print(acc);
+            print(`+tc.method+`(7000, 0));
+        }
+    }`)
+		check(out, vm.TermException, "ArithmeticException: / by zero (in "+tc.method+")", tc.sum)
+	}
 }
 
 func TestCompiledArraysAndFields(t *testing.T) {

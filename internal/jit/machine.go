@@ -342,15 +342,7 @@ func (c *Code) exec(env vm.Env, args []int64, f *frameBuf) vm.ExecResult {
 				continue
 			}
 		case mSwitch:
-			v := int64(int32(frame[in.a]))
-			sw := &c.switches[in.b]
-			pc = sw.deflt
-			for i, val := range sw.vals {
-				if val == v {
-					pc = sw.targets[i]
-					break
-				}
-			}
+			pc = c.switches[in.b].Lookup(int64(int32(frame[in.a])))
 			continue
 		case mGuard:
 			if frame[in.a] != in.imm {

@@ -349,9 +349,9 @@ func (c *Code) pack() []int {
 		}
 	}
 	for _, sw := range c.switches {
-		target[sw.deflt] = true
-		for _, t := range sw.targets {
-			target[t] = true
+		target[sw.Default] = true
+		for _, e := range sw.Entries {
+			target[e.Target] = true
 		}
 	}
 	// joins reports whether reference instruction i can extend the word
@@ -472,9 +472,9 @@ func (c *Code) pack() []int {
 	}
 	for s := range c.switches {
 		sw := &c.switches[s]
-		sw.deflt = at[sw.deflt]
-		for k, t := range sw.targets {
-			sw.targets[k] = at[t]
+		sw.Default = at[sw.Default]
+		for k, e := range sw.Entries {
+			sw.Entries[k].Target = at[e.Target]
 		}
 	}
 	c.ins = out

@@ -90,7 +90,10 @@ func checkPacked(t *testing.T, c *Code) (dropped, fused int) {
 		}
 	}
 	for _, sw := range c.switches {
-		targets = append(append(targets, sw.deflt), sw.targets...)
+		targets = append(targets, sw.Default)
+		for _, e := range sw.Entries {
+			targets = append(targets, e.Target)
+		}
 	}
 	at := c.pack()
 

@@ -17,8 +17,9 @@
 //   - synthesized code never prints (the paper redirects System.out;
 //     MJ's only output channel is print, which we simply never emit);
 //   - synthesized expressions cannot throw: divisions are |1-guarded
-//     and array indexes are masked and taken modulo the length
-//     (replacing the paper's catch-and-discard wrapping);
+//     and array indexes are fresh loop counters that count up from 0
+//     while below the array's length (replacing the paper's
+//     catch-and-discard wrapping);
 //   - MI's early-return prologue writes only fresh locals, so the
 //     thousands of pre-invocations it triggers are pure heat.
 package jonm

@@ -105,35 +105,10 @@ func wrappable(s ast.Stmt) bool {
 // containsReturn reports whether s contains a return statement
 // anywhere.
 func containsReturn(s ast.Stmt) bool {
-	found := false
-	var walk func(ast.Stmt)
-	walk = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case *ast.ReturnStmt:
-			found = true
-		case *ast.Block:
-			for _, bs := range s.Stmts {
-				walk(bs)
-			}
-		case *ast.IfStmt:
-			walk(s.Then)
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *ast.ForStmt:
-			walk(s.Body)
-		case *ast.WhileStmt:
-			walk(s.Body)
-		case *ast.SwitchStmt:
-			for _, c := range s.Cases {
-				for _, bs := range c.Body {
-					walk(bs)
-				}
-			}
-		}
-	}
-	walk(s)
-	return found
+	return !ast.WalkStmt(s, func(s ast.Stmt) bool {
+		_, ok := s.(*ast.ReturnStmt)
+		return !ok
+	})
 }
 
 // hasLooseJump reports whether s contains a break/continue that binds

@@ -56,7 +56,7 @@ func (s *synth) expr(t ast.Type) ast.Expr {
 	}
 	// Rule 2: reuse an in-scope variable of this type.
 	if s.chance(0.5) {
-		if v := s.reuse(t, true); v != nil {
+		if v := s.reuse(t); v != nil {
 			return v
 		}
 	}
@@ -85,8 +85,7 @@ func (s *synth) expr(t ast.Type) ast.Expr {
 // reuse returns a reference to an in-scope or synthesized variable of
 // type t for reading (Rule 2 of SynExpr). Reads are always neutral and
 // need no backup.
-func (s *synth) reuse(t ast.Type, readAccess bool) ast.Expr {
-	_ = readAccess
+func (s *synth) reuse(t ast.Type) ast.Expr {
 	var cands []scopeVar
 	for _, v := range s.locals {
 		if v.typ.Equal(t) {
@@ -142,14 +141,6 @@ func (s *synth) guardedDiv(t ast.Type, x, y ast.Expr) ast.Expr {
 	one := &ast.IntLit{Value: 1, IsLong: t.Kind == ast.KindLong}
 	return &ast.BinaryExpr{Op: ast.OpDiv, X: x,
 		Y: &ast.BinaryExpr{Op: ast.OpOr, X: y, Y: one}}
-}
-
-// guardedIndex builds (x & 0x7fffffff) % arr.length for arrays with
-// length >= 1; synthesized arrays always have >= 1 element.
-func (s *synth) guardedIndex(arrName string, x ast.Expr) ast.Expr {
-	return &ast.BinaryExpr{Op: ast.OpRem,
-		X: &ast.BinaryExpr{Op: ast.OpAnd, X: x, Y: &ast.IntLit{Value: 0x7fffffff}},
-		Y: &ast.LenExpr{Arr: &ast.Ident{Name: arrName}}}
 }
 
 // ---------------------------------------------------------------------------

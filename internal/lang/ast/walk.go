@@ -17,14 +17,16 @@ func walkBlock(b *Block, fn func(Stmt) bool) bool {
 		return false
 	}
 	for _, s := range b.Stmts {
-		if !walkStmt(s, fn) {
+		if !WalkStmt(s, fn) {
 			return false
 		}
 	}
 	return true
 }
 
-func walkStmt(s Stmt, fn func(Stmt) bool) bool {
+// WalkStmt calls fn for s and every statement nested in it, in source
+// order, like WalkStmts. It returns false if fn stopped the walk.
+func WalkStmt(s Stmt, fn func(Stmt) bool) bool {
 	switch s := s.(type) {
 	case *Block:
 		return walkBlock(s, fn)
@@ -36,7 +38,7 @@ func walkStmt(s Stmt, fn func(Stmt) bool) bool {
 			return false
 		}
 		if s.Else != nil {
-			return walkStmt(s.Else, fn)
+			return WalkStmt(s.Else, fn)
 		}
 		return true
 	case *ForStmt:
@@ -55,7 +57,7 @@ func walkStmt(s Stmt, fn func(Stmt) bool) bool {
 		}
 		for _, c := range s.Cases {
 			for _, bs := range c.Body {
-				if !walkStmt(bs, fn) {
+				if !WalkStmt(bs, fn) {
 					return false
 				}
 			}

@@ -10,8 +10,8 @@ import (
 // interpLoop interprets method st.Index starting at pc with the given
 // frame state (locals and operand stack — non-zero pc and a non-nil
 // stack occur when resuming after a deoptimization). It updates
-// profiling data when profiled is true, drives back-edge counters, and
-// performs OSR when the policy asks for it.
+// profiling data, drives back-edge counters, and performs OSR when the
+// policy asks for it.
 //
 // Dispatch runs on the method's verified 16-byte instruction words:
 // width and condition variants are fused into the opcode, a call
@@ -19,7 +19,7 @@ import (
 // and the operand stack is a fixed MaxStack-capacity window indexed by
 // sp. The verifier guarantees every operand the loop indexes with is in
 // range and that the depth never exceeds MaxStack.
-func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *TempVector, profiled bool) (int64, *Unwind) {
+func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *TempVector) (int64, *Unwind) {
 	m := vm.prog.Methods[st.Index]
 	code := m.Code
 	sp := len(stack)
@@ -147,57 +147,13 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			sp--
 			stack[sp-1] = int64(int32(stack[sp-1]) * int32(stack[sp]))
 			pc++
-		case bytecode.OpDivL:
+		case bytecode.OpDivL, bytecode.OpDivI, bytecode.OpRemL, bytecode.OpRemI:
 			sp--
-			b := stack[sp]
-			a := stack[sp-1]
-			if b == 0 {
-				return 0, vm.throw(st, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"})
+			v, err := EvalBinary(in.Op, stack[sp-1], stack[sp])
+			if err != nil {
+				return 0, vm.throw(st, err)
 			}
-			if a == -1<<63 && b == -1 {
-				stack[sp-1] = a // Java wraps; Go would panic
-			} else {
-				stack[sp-1] = a / b
-			}
-			pc++
-		case bytecode.OpDivI:
-			sp--
-			y := int32(stack[sp])
-			x := int32(stack[sp-1])
-			if y == 0 {
-				return 0, vm.throw(st, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"})
-			}
-			if x == -1<<31 && y == -1 {
-				stack[sp-1] = int64(x)
-			} else {
-				stack[sp-1] = int64(x / y)
-			}
-			pc++
-		case bytecode.OpRemL:
-			sp--
-			b := stack[sp]
-			a := stack[sp-1]
-			if b == 0 {
-				return 0, vm.throw(st, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"})
-			}
-			if a == -1<<63 && b == -1 {
-				stack[sp-1] = 0
-			} else {
-				stack[sp-1] = a % b
-			}
-			pc++
-		case bytecode.OpRemI:
-			sp--
-			y := int32(stack[sp])
-			x := int32(stack[sp-1])
-			if y == 0 {
-				return 0, vm.throw(st, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"})
-			}
-			if x == -1<<31 && y == -1 {
-				stack[sp-1] = 0
-			} else {
-				stack[sp-1] = int64(x % y)
-			}
+			stack[sp-1] = v
 			pc++
 		case bytecode.OpAndL:
 			sp--
@@ -293,72 +249,54 @@ func (vm *VM) interpLoop(st *MethodState, pc int, locals, stack []int64, tv *Tem
 			pc = int(in.A)
 		case bytecode.OpIfTrue:
 			sp--
-			taken := stack[sp] != 0
-			if profiled {
-				st.Profile.branch(pc, taken)
-			}
-			if taken {
-				pc = int(in.A)
-			} else {
-				pc++
-			}
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] != 0)
 		case bytecode.OpIfFalse:
 			sp--
-			taken := stack[sp] == 0
-			if profiled {
-				st.Profile.branch(pc, taken)
-			}
-			if taken {
-				pc = int(in.A)
-			} else {
-				pc++
-			}
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] == 0)
 		case bytecode.OpIfCmpEQ:
 			sp -= 2
-			pc = vm.branchTo(st, pc, int(in.A), stack[sp] == stack[sp+1], profiled)
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] == stack[sp+1])
 		case bytecode.OpIfCmpNE:
 			sp -= 2
-			pc = vm.branchTo(st, pc, int(in.A), stack[sp] != stack[sp+1], profiled)
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] != stack[sp+1])
 		case bytecode.OpIfCmpLT:
 			sp -= 2
-			pc = vm.branchTo(st, pc, int(in.A), stack[sp] < stack[sp+1], profiled)
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] < stack[sp+1])
 		case bytecode.OpIfCmpLE:
 			sp -= 2
-			pc = vm.branchTo(st, pc, int(in.A), stack[sp] <= stack[sp+1], profiled)
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] <= stack[sp+1])
 		case bytecode.OpIfCmpGT:
 			sp -= 2
-			pc = vm.branchTo(st, pc, int(in.A), stack[sp] > stack[sp+1], profiled)
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] > stack[sp+1])
 		case bytecode.OpIfCmpGE:
 			sp -= 2
-			pc = vm.branchTo(st, pc, int(in.A), stack[sp] >= stack[sp+1], profiled)
+			pc = vm.branchTo(st, pc, int(in.A), stack[sp] >= stack[sp+1])
 
 		case bytecode.OpSwitch:
 			sp--
 			pc = m.Switches[in.A].Lookup(int64(int32(stack[sp])))
 		case bytecode.OpLoopBack:
-			if profiled {
-				loopID := int(in.B)
-				st.Counters.Backedge[loopID]++
-				dec := vm.policy.OnBackEdge(st, loopID)
-				if dec.Action != ActInterpret {
-					var osrCode CompiledCode
-					if dec.Action == ActCompile {
-						var uw *Unwind
-						osrCode, uw = vm.ensureOSR(st, loopID, dec.Tier)
-						if uw != nil {
-							return 0, uw
-						}
-					} else {
-						// ActUseCompiled: enter the cached OSR entry
-						// without a compile request (nil when the cached
-						// compilation failed benignly: keep interpreting).
-						osrCode = st.osrCode(loopID)
+			loopID := int(in.B)
+			st.Counters.Backedge[loopID]++
+			dec := vm.policy.OnBackEdge(st, loopID)
+			if dec.Action != ActInterpret {
+				var osrCode CompiledCode
+				if dec.Action == ActCompile {
+					var uw *Unwind
+					osrCode, uw = vm.ensureOSR(st, loopID, dec.Tier)
+					if uw != nil {
+						return 0, uw
 					}
-					if osrCode != nil {
-						vm.osrEntries++
-						vm.frames[fi].sp = sp
-						return vm.runCompiled(st, osrCode, locals, tv)
-					}
+				} else {
+					// ActUseCompiled: enter the cached OSR entry
+					// without a compile request (nil when the cached
+					// compilation failed benignly: keep interpreting).
+					osrCode = st.osrCode(loopID)
+				}
+				if osrCode != nil {
+					vm.osrEntries++
+					vm.frames[fi].sp = sp
+					return vm.runCompiled(st, osrCode, locals, tv)
 				}
 			}
 			pc = int(in.A)
@@ -404,10 +342,8 @@ func b2i(b bool) int64 {
 
 // branchTo records a profiled two-way branch outcome and returns the
 // next pc.
-func (vm *VM) branchTo(st *MethodState, pc, target int, taken, profiled bool) int {
-	if profiled {
-		st.Profile.branch(pc, taken)
-	}
+func (vm *VM) branchTo(st *MethodState, pc, target int, taken bool) int {
+	st.Profile.branch(pc, taken)
 	if taken {
 		return target
 	}
@@ -417,9 +353,6 @@ func (vm *VM) branchTo(st *MethodState, pc, target int, taken, profiled bool) in
 // throw decorates a program-level error with the method name so the
 // observable message is informative yet deterministic across tiers.
 func (vm *VM) throw(st *MethodState, err *RuntimeError) *Unwind {
-	if err.Kind == trapTimeout {
-		return vm.timeoutUnwind()
-	}
 	e := *err
 	e.Msg = e.Msg + " (in " + st.Name + ")"
 	return &Unwind{Err: &e}
@@ -428,9 +361,9 @@ func (vm *VM) throw(st *MethodState, err *RuntimeError) *Unwind {
 // EvalBinary applies a binary arithmetic/bitwise bytecode opcode with
 // Java semantics: 32-bit wrapping for the int forms, 64-bit for the
 // long forms, masked shift counts, and ArithmeticException on division
-// by zero. It is exported because the JIT constant folder and the
-// machine executor must share exactly one definition of arithmetic
-// with the interpreter.
+// by zero. It is exported so that the interpreter's division and
+// remainder, the JIT constant folder and the machine executor's
+// division and remainder share exactly one definition of arithmetic.
 func EvalBinary(op bytecode.Op, a, b int64) (int64, *RuntimeError) {
 	x, y := int32(a), int32(b)
 	switch op {
@@ -446,36 +379,26 @@ func EvalBinary(op bytecode.Op, a, b int64) (int64, *RuntimeError) {
 		return a * b, nil
 	case bytecode.OpMulI:
 		return int64(x * y), nil
+	// Go, like Java, defines MIN / -1 as MIN and MIN % -1 as 0 at every
+	// width, so only a zero divisor needs a check.
 	case bytecode.OpDivL:
 		if b == 0 {
 			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
-		}
-		if a == -1<<63 && b == -1 {
-			return a, nil // Java wraps; Go would panic
 		}
 		return a / b, nil
 	case bytecode.OpDivI:
 		if y == 0 {
 			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
 		}
-		if x == -1<<31 && y == -1 {
-			return int64(x), nil
-		}
 		return int64(x / y), nil
 	case bytecode.OpRemL:
 		if b == 0 {
 			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
 		}
-		if a == -1<<63 && b == -1 {
-			return 0, nil
-		}
 		return a % b, nil
 	case bytecode.OpRemI:
 		if y == 0 {
 			return 0, &RuntimeError{Kind: TrapDivByZero, Msg: "/ by zero"}
-		}
-		if x == -1<<31 && y == -1 {
-			return 0, nil
 		}
 		return int64(x % y), nil
 	case bytecode.OpAndL:

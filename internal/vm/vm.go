@@ -275,8 +275,10 @@ func (vm *VM) runMain() {
 			vm.fields[i] = vm.heap.Alloc(f.Type.Elem, 0)
 		}
 	}
+	// <clinit> bypasses the policy and the invocation counter: it is
+	// never compiled.
 	if ci := vm.prog.ClinitIndex; ci >= 0 {
-		if uw := vm.interpOnly(ci); uw != nil {
+		if _, uw := vm.interpret(vm.methods[ci], nil, nil); uw != nil {
 			vm.finish(uw)
 			return
 		}
@@ -311,10 +313,6 @@ const (
 	trapStopped TrapKind = -2
 )
 
-func (vm *VM) timeoutUnwind() *Unwind {
-	return &Unwind{Err: &RuntimeError{Kind: trapTimeout}}
-}
-
 // checkpoint is the execution loops' slow path, taken once the step
 // count passes checkAt. Without a Stop flag checkAt is StepLimit, so
 // this only ends the run. With one, checkAt steps through the budget
@@ -325,25 +323,13 @@ func (vm *VM) timeoutUnwind() *Unwind {
 //go:noinline
 func (vm *VM) checkpoint() *Unwind {
 	if vm.steps > vm.cfg.StepLimit {
-		return vm.timeoutUnwind()
+		return &Unwind{Err: &RuntimeError{Kind: trapTimeout}}
 	}
 	if vm.cfg.Stop != nil && vm.cfg.Stop.Load() {
 		return &Unwind{Err: &RuntimeError{Kind: trapStopped}}
 	}
 	vm.checkAt = min(vm.steps+StopPoll, vm.cfg.StepLimit)
 	return nil
-}
-
-// interpOnly runs a method in the interpreter with no profiling
-// consequences (used for <clinit>).
-func (vm *VM) interpOnly(mi int) *Unwind {
-	m := vm.prog.Methods[mi]
-	mark := vm.arena.mark()
-	locals := vm.arena.alloc(len(m.Locals))
-	clear(locals)
-	_, uw := vm.interpLoop(vm.methods[mi], 0, locals, nil, nil, false)
-	vm.arena.release(mark)
-	return uw
 }
 
 // MethodStateByName exposes per-method state for tests and tools.
@@ -355,9 +341,6 @@ func (vm *VM) MethodStateByName(name string) *MethodState {
 	}
 	return nil
 }
-
-// Heap exposes the heap (tests).
-func (vm *VM) Heap() *Heap { return vm.heap }
 
 // ---------------------------------------------------------------------------
 // Dispatch
@@ -407,17 +390,23 @@ func (vm *VM) CallMethod(mi int, args []int64) (int64, *Unwind) {
 		if tv != nil {
 			tv.Temps = append(tv.Temps, 0)
 		}
-		m := vm.prog.Methods[mi]
-		mark := vm.arena.mark()
-		locals := vm.arena.alloc(len(m.Locals))
-		clear(locals)
-		copy(locals, args)
-		ret, uw = vm.interpLoop(st, 0, locals, nil, tv, true)
-		vm.arena.release(mark)
+		ret, uw = vm.interpret(st, args, tv)
 	}
 	if tv != nil && vm.trace != nil {
 		vm.trace.add(*tv)
 	}
+	return ret, uw
+}
+
+// interpret runs a fresh activation of st in the interpreter, its
+// locals zeroed and then seeded with args.
+func (vm *VM) interpret(st *MethodState, args []int64, tv *TempVector) (int64, *Unwind) {
+	mark := vm.arena.mark()
+	locals := vm.arena.alloc(len(vm.prog.Methods[st.Index].Locals))
+	clear(locals)
+	copy(locals, args)
+	ret, uw := vm.interpLoop(st, 0, locals, nil, tv)
+	vm.arena.release(mark)
 	return ret, uw
 }
 
@@ -549,7 +538,7 @@ func (vm *VM) handleDeopt(st *MethodState, d *Deopt, tv *TempVector) (int64, *Un
 	if tv != nil {
 		tv.Temps = append(tv.Temps, 0)
 	}
-	return vm.interpLoop(st, d.PC, d.Locals, d.Stack, tv, true)
+	return vm.interpLoop(st, d.PC, d.Locals, d.Stack, tv)
 }
 
 // ---------------------------------------------------------------------------
