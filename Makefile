@@ -86,11 +86,13 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout $(TIMEOUT) . ./internal/blame/
 
 # Cheap smoke variant for CI: one iteration of each substrate
-# micro-benchmark (front end, interpreter, JIT, compiled-code executor)
-# and of the blame localization, which fails unless it localizes.
+# micro-benchmark (front end, interpreter, JIT, compiled-code executor),
+# of one crash auto-reduction, which fails unless the reproducer still
+# crashes, and of the blame localization, which fails unless it
+# localizes.
 bench-smoke:
 	$(GO) test -run '^$$' -benchtime 1x -timeout $(TIMEOUT) \
-		-bench '^Benchmark(MutateCompile|Interpreter|TieredExecution|CompiledExecutor|CompiledExecutorTier1|JITCompileTier2|SeedGeneration|BlameGCMStoreSink)$$' \
+		-bench '^Benchmark(MutateCompile|Interpreter|TieredExecution|CompiledExecutor|CompiledExecutorTier1|JITCompileTier2|SeedGeneration|AutoReduce|BlameGCMStoreSink)$$' \
 		. ./internal/blame/
 
 # Benchmark self-test: vet and test the campaignbench module (its own

@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +32,7 @@ import (
 	"artemis/internal/lang/parser"
 	"artemis/internal/lang/sem"
 	"artemis/internal/profiles"
+	"artemis/internal/reduce"
 	"artemis/internal/vm"
 )
 
@@ -624,4 +626,47 @@ func BenchmarkSeedGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fuzz.Generate(fuzz.Options{Seed: int64(i)})
 	}
+}
+
+// BenchmarkAutoReduce measures in-campaign auto-reduction of one
+// openj9like crash reproducer, the mutant behind seed 20028's JIT-INT
+// crash (testdata/openj9like-jitint-crash.mj), reduced through
+// KeepConfig's crash test at 2 workers under DefaultReduceBudget and
+// the triage budget of 2M steps per run. Nearly half of its keep runs
+// end at that budget. evals/op counts the evaluations the reducer
+// started, memo hits and stopped speculation included; keep-runs/op
+// the ones that ran VMs. KeepConfig's test carries its own memo, so
+// the counting memo wrapped around it here answers every repeat first.
+func BenchmarkAutoReduce(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("testdata", "openj9like-jitint-crash.mj"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := parser.Parse(string(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := mustProfile(b, "openj9like")
+	kc := harness.KeepConfig{Profile: prof, Bugs: prof.BugSet(), StepLimit: 2_000_000}
+	var evals, runs atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		crash, err := kc.TestForMode("crash")
+		if err != nil {
+			b.Fatal(err)
+		}
+		counted := reduce.Test(func(p *ast.Program, stop *atomic.Bool) bool {
+			runs.Add(1)
+			return crash(p, stop)
+		}).Memo()
+		keep := func(p *ast.Program, stop *atomic.Bool) bool {
+			evals.Add(1)
+			return counted(p, stop)
+		}
+		if _, ok := reduce.ReduceParallel(prog, keep, 2, reduce.Options{MaxEvals: harness.DefaultReduceBudget}); !ok {
+			b.Fatal("the reproducer does not crash the openj9like VM")
+		}
+	}
+	b.ReportMetric(float64(evals.Load())/float64(b.N), "evals/op")
+	b.ReportMetric(float64(runs.Load())/float64(b.N), "keep-runs/op")
 }

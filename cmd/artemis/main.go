@@ -58,21 +58,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	flag.Parse()
-	if err := checkCounts(*seeds, *iters, *steps); err != nil {
-		fmt.Fprintln(os.Stderr, "artemis:", err)
-		os.Exit(2)
-	}
-
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fatal(err)
-	}
-	defer stopProf()
-
-	persisting := *journalPath != "" || *corpusDir != ""
-	if *resume && *journalPath == "" {
-		fatal(fmt.Errorf("-resume requires -journal"))
-	}
 
 	var progress func(harness.Progress)
 	if !*quiet {
@@ -91,12 +76,20 @@ func main() {
 		CorpusDir: *corpusDir, ReduceBudget: *reduceBudget,
 		Blame: *blameOn || *table1, BlameBudget: *blameBudget,
 	}
+	prof, err := checkFlags(opts, *profileName, *table1 || *table2 || *table4)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "artemis:", err)
+		os.Exit(2)
+	}
+
+	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer stopProf()
 
 	switch {
 	case *table1 || *table2:
-		if persisting {
-			fatal(fmt.Errorf("-journal/-corpus apply to single-campaign mode, not table sweeps"))
-		}
 		var all []*harness.CampaignStats
 		for _, prof := range profiles.All() {
 			fmt.Fprintf(os.Stderr, "campaign: %s (%d seeds x %d mutants)...\n", prof.Name, *seeds, *iters)
@@ -114,9 +107,6 @@ func main() {
 		}
 		writeMetrics(*metricsOut, all)
 	case *table4:
-		if persisting {
-			fatal(fmt.Errorf("-journal/-corpus apply to single-campaign mode, not table sweeps"))
-		}
 		prof, err := profiles.Get("openj9like")
 		if err != nil {
 			fatal(err)
@@ -130,10 +120,6 @@ func main() {
 		}
 		writeMetrics(*metricsOut, []*harness.CampaignStats{stats})
 	default:
-		prof, err := profiles.Get(*profileName)
-		if err != nil {
-			fatal(err)
-		}
 		opts.Profile, opts.Buggy = prof, !*selfcheck
 		stats, err := harness.RunResumableCampaign(opts)
 		if err != nil {
@@ -172,19 +158,35 @@ func main() {
 	}
 }
 
-// checkCounts rejects campaign sizes that name no campaign: a negative
-// seed count or step budget (a budget of 0 is the default one) and
-// fewer than one mutant per seed.
-func checkCounts(seeds, iters int, steps int64) error {
+// checkFlags rejects settings that name no campaign, before anything
+// runs or is written: a negative seed count, step budget, worker count,
+// blame budget or seed timeout (0 picks the default for each), fewer
+// than one mutant per seed, -resume without -journal, -journal or
+// -corpus with a table sweep, and an unknown -profile. It returns the
+// single-campaign profile (nil for a table sweep, which ignores
+// -profile).
+func checkFlags(opts harness.CampaignOptions, profile string, table bool) (*profiles.Profile, error) {
 	switch {
-	case seeds < 0:
-		return fmt.Errorf("-seeds %d: must not be negative", seeds)
-	case iters < 1:
-		return fmt.Errorf("-iters %d: must be at least 1", iters)
-	case steps < 0:
-		return fmt.Errorf("-steps %d: must not be negative (0 = default)", steps)
+	case opts.Seeds < 0:
+		return nil, fmt.Errorf("-seeds %d: must not be negative", opts.Seeds)
+	case opts.MaxIter < 1:
+		return nil, fmt.Errorf("-iters %d: must be at least 1", opts.MaxIter)
+	case opts.StepLimit < 0:
+		return nil, fmt.Errorf("-steps %d: must not be negative (0 = default)", opts.StepLimit)
+	case opts.Workers < 0:
+		return nil, fmt.Errorf("-workers %d: must not be negative (0 = all CPUs)", opts.Workers)
+	case opts.BlameBudget < 0:
+		return nil, fmt.Errorf("-blamebudget %d: must not be negative (0 = default)", opts.BlameBudget)
+	case opts.SeedTimeout < 0:
+		return nil, fmt.Errorf("-seedtimeout %s: must not be negative (0 = none)", opts.SeedTimeout)
+	case opts.Resume && opts.JournalPath == "":
+		return nil, fmt.Errorf("-resume requires -journal")
+	case table && (opts.JournalPath != "" || opts.CorpusDir != ""):
+		return nil, fmt.Errorf("-journal/-corpus apply to single-campaign mode, not table sweeps")
+	case table:
+		return nil, nil
 	}
-	return nil
+	return profiles.Get(profile)
 }
 
 // writeMetrics writes the deterministic metrics JSON to path and prints

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,9 +36,16 @@ const gcmReproducer = `class T {
     }
 }`
 
+// gcmReducedSHA256 is the SHA-256 of the reduced gcmReproducer that
+// mjreduce prints on hotspotlike. The reference reduction below uses
+// the same KeepConfig predicate, verdict memo included, so only this
+// digest catches a memo or window that moves both sides together.
+const gcmReducedSHA256 = "7f3b681bd0648444dd5a200c985886ee5ca02873abd49c7a70f822bf127e015f"
+
 // TestOutputMatchesSequentialReduction: mjreduce tests several
 // candidates at once, but what it prints is byte for byte the program
-// a one-at-a-time reduction under the same predicate produces.
+// a one-at-a-time reduction under the same predicate produces, and
+// that program is the pinned one.
 func TestOutputMatchesSequentialReduction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gcm.mj")
 	if err := os.WriteFile(path, []byte(gcmReproducer), 0o644); err != nil {
@@ -60,6 +69,9 @@ func TestOutputMatchesSequentialReduction(t *testing.T) {
 	}
 	if ast.ProgramSize(want) >= ast.ProgramSize(prog) {
 		t.Fatal("the sequential reduction removed nothing; the comparison would be vacuous")
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(ast.Print(want)))); sum != gcmReducedSHA256 {
+		t.Errorf("reduced GCM reproducer has SHA-256 %s, want %s:\n%s", sum, gcmReducedSHA256, ast.Print(want))
 	}
 	for _, workers := range []int{1, 2, 4} {
 		var stdout, stderr bytes.Buffer

@@ -9,8 +9,9 @@
 // Every predicate is built as a reduce.Test: each evaluation runs
 // fresh VMs, so it is safe for concurrent use, and it passes the
 // reducer's stop flag into its runs, so a superseded evaluation ends
-// within vm.StopPoll steps. The reduce.Predicate methods wrap the same
-// tests with no stop flag.
+// within vm.StopPoll steps. Every predicate built remembers its
+// verdicts, so each reduction builds its own. The reduce.Predicate
+// methods wrap the same tests with no stop flag.
 
 package harness
 
@@ -110,12 +111,14 @@ func (kc KeepConfig) signature(kind FindingKind, p *ast.Program, stop *atomic.Bo
 
 // keep keeps programs that trigger a finding of kind (CrashFinding or
 // Miscompilation) with a signature that match accepts. Inconclusive
-// runs are never kept.
+// runs are never kept. Each test built carries its own verdict memo
+// (reduce.Test.Memo): within the reduction that builds it, a candidate
+// already tested to a verdict is not run again.
 func (kc KeepConfig) keep(kind FindingKind, match func(sig string) bool) reduce.Test {
-	return func(p *ast.Program, stop *atomic.Bool) bool {
+	return reduce.Test(func(p *ast.Program, stop *atomic.Bool) bool {
 		sig := kc.signature(kind, p, stop)
 		return sig != "" && match(sig)
-	}
+	}).Memo()
 }
 
 func anySignature(string) bool { return true }

@@ -2,8 +2,10 @@ package reduce
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"artemis/internal/bugs"
 	"artemis/internal/bytecode"
@@ -86,9 +88,10 @@ func budgeted(keep Predicate, evals int, calls *int) Predicate {
 // TestReduceParallelMatchesSequential: at 1, 2 and 4 workers the
 // reducer prints the same program and counts the same evaluations as
 // a one-at-a-time reduction under a stateful budgeted predicate, also
-// when the budget runs out inside a window of in-flight candidates
+// when the budget runs out inside a window of unsettled candidates
 // (MaxEvals 1, 5 and 17), and no evaluation is still running when it
-// returns.
+// returns. The same holds for the memoized Test, built afresh for each
+// reduction.
 func TestReduceParallelMatchesSequential(t *testing.T) {
 	type tc struct {
 		name string
@@ -113,31 +116,36 @@ func TestReduceParallelMatchesSequential(t *testing.T) {
 			calls := 0
 			want, wantOK := ReduceChecked(c.prog, budgeted(c.keep.Predicate(), maxEvals, &calls), opts)
 			for _, workers := range []int{1, 2, 4} {
-				var live, stopped atomic.Int64
-				keep := func(p *ast.Program, stop *atomic.Bool) bool {
-					live.Add(1)
-					defer live.Add(-1)
-					kept := c.keep(p, stop)
-					if stop != nil && stop.Load() {
-						stopped.Add(1)
+				for _, memo := range []bool{false, true} {
+					var live, stopped atomic.Int64
+					var keep Test = func(p *ast.Program, stop *atomic.Bool) bool {
+						live.Add(1)
+						defer live.Add(-1)
+						kept := c.keep(p, stop)
+						if stop != nil && stop.Load() {
+							stopped.Add(1)
+						}
+						return kept
 					}
-					return kept
-				}
-				r := newReducer(c.prog, keep, workers, opts)
-				ok := r.run(opts.MaxRounds)
-				if n := live.Load(); n != 0 {
-					t.Errorf("%s MaxEvals=%d workers=%d: %d evaluations still running after the call", c.name, maxEvals, workers, n)
-				}
-				if ok != wantOK || ast.Print(r.cur) != ast.Print(want) {
-					t.Errorf("%s MaxEvals=%d workers=%d: reduced program differs from the one-at-a-time reduction:\n%s\nwant:\n%s",
-						c.name, maxEvals, workers, ast.Print(r.cur), ast.Print(want))
-				}
-				if r.evals != calls {
-					t.Errorf("%s MaxEvals=%d workers=%d: counted %d evaluations, the one-at-a-time reduction made %d",
-						c.name, maxEvals, workers, r.evals, calls)
-				}
-				if workers == 1 && stopped.Load() != 0 {
-					t.Errorf("%s MaxEvals=%d: a one-at-a-time evaluation was stopped", c.name, maxEvals)
+					if memo {
+						keep = keep.Memo()
+					}
+					name := fmt.Sprintf("%s MaxEvals=%d workers=%d memo=%t", c.name, maxEvals, workers, memo)
+					r := newReducer(c.prog, keep, workers, opts)
+					ok := r.run(opts.MaxRounds)
+					if n := live.Load(); n != 0 {
+						t.Errorf("%s: %d evaluations still running after the call", name, n)
+					}
+					if ok != wantOK || ast.Print(r.cur) != ast.Print(want) {
+						t.Errorf("%s: reduced program differs from the one-at-a-time reduction:\n%s\nwant:\n%s",
+							name, ast.Print(r.cur), ast.Print(want))
+					}
+					if r.evals != calls {
+						t.Errorf("%s: counted %d evaluations, the one-at-a-time reduction made %d", name, r.evals, calls)
+					}
+					if workers == 1 && stopped.Load() != 0 {
+						t.Errorf("%s: a one-at-a-time evaluation was stopped", name)
+					}
 				}
 			}
 			if maxEvals == 0 {
@@ -193,5 +201,109 @@ func TestReduceParallelRaisesPanicsInOrder(t *testing.T) {
 		if got, _ := ReduceParallel(p, panicking("junk2"), workers, Options{}); ast.Print(got) != ast.Print(want) {
 			t.Errorf("workers=%d: got\n%s\nwant\n%s", workers, ast.Print(got), ast.Print(want))
 		}
+	}
+}
+
+// TestWindowDoesNotWaitOnOldest: a finished evaluation frees its
+// worker while an older one is still running. The first candidate's
+// evaluation returns only once workers+1 candidates have started, which
+// a window that waits on its oldest verdict never allows; the bounded
+// wait turns that into a failure instead of a hang.
+func TestWindowDoesNotWaitOnOldest(t *testing.T) {
+	p := mustParse(t, `class T {
+    int junk1(int x) { return x * 3; }
+    int junk2(int x) { return x - 11; }
+    int junk3(int x) { return x + 5; }
+    int junk4(int x) { return x ^ 6; }
+    int junk5(int x) { return x * 7; }
+    int junk6(int x) { return x - 8; }
+    void main() { print(7); }
+}`)
+	for _, workers := range []int{2, 4} {
+		var started atomic.Int64
+		enough := make(chan struct{})
+		var once sync.Once
+		var waited atomic.Bool
+		// The precondition probe (stop == nil) keeps the input; every
+		// candidate is rejected, and method removal tries junk1 first.
+		keep := func(q *ast.Program, stop *atomic.Bool) bool {
+			if stop == nil {
+				return true
+			}
+			if started.Add(1) == int64(workers+1) {
+				once.Do(func() { close(enough) })
+			}
+			if q.Class.Methods[0].Name != "junk1" {
+				select {
+				case <-enough:
+				case <-time.After(10 * time.Second):
+					waited.Store(true)
+				}
+			}
+			return false
+		}
+		ReduceParallel(p, keep, workers, Options{MaxRounds: 1})
+		if waited.Load() {
+			t.Errorf("workers=%d: the first candidate's evaluation waited 10 s, and no candidate after the first %d started while it ran",
+				workers, workers)
+		}
+	}
+}
+
+// TestMemoSkipsRepeats: the crash reduction proposes some candidates
+// more than once, and the memoized Test answers the repeats without
+// running the inner Test.
+func TestMemoSkipsRepeats(t *testing.T) {
+	p := mustParse(t, crashSrc)
+	count := func(n *int) Test {
+		return func(q *ast.Program, stop *atomic.Bool) bool {
+			*n++
+			return barrierCrash(q, stop)
+		}
+	}
+	var plain, memo int
+	want, _ := ReduceParallel(p, count(&plain), 1, Options{})
+	got, _ := ReduceParallel(p, count(&memo).Memo(), 1, Options{})
+	if ast.Print(got) != ast.Print(want) {
+		t.Errorf("memoized reduction gave\n%s\nwant\n%s", ast.Print(got), ast.Print(want))
+	}
+	t.Logf("inner Test ran %d times without the memo, %d with it", plain, memo)
+	if memo >= plain {
+		t.Errorf("the memo saved no runs: %d with it, %d without", memo, plain)
+	}
+}
+
+// TestMemoDropsStoppedVerdicts: a verdict reached while the stop flag
+// was set, before or during the evaluation, is never returned for a
+// later candidate; a verdict reached unstopped is.
+func TestMemoDropsStoppedVerdicts(t *testing.T) {
+	p := mustParse(t, `class T { void main() { print(1); } }`)
+	runs := 0
+	var raise *atomic.Bool // the evaluation sets this flag while it runs
+	memo := Test(func(_ *ast.Program, stop *atomic.Bool) bool {
+		runs++
+		if raise != nil {
+			raise.Store(true)
+		}
+		return stop == nil || !stop.Load()
+	}).Memo()
+
+	var before atomic.Bool
+	before.Store(true)
+	if memo(p, &before) {
+		t.Fatal("the inner Test kept a stopped evaluation")
+	}
+	var during atomic.Bool
+	raise = &during
+	if memo(p, &during) {
+		t.Fatal("the inner Test kept an evaluation stopped while it ran")
+	}
+	raise = nil
+	var never atomic.Bool
+	if !memo(p, &never) {
+		t.Error("a stopped evaluation's verdict was returned for a later candidate")
+	}
+	if !memo(p, nil) || runs != 3 {
+		t.Errorf("the inner Test ran %d times, want 3: the unstopped verdict was not remembered", runs)
 	}
 }

@@ -15,10 +15,20 @@
 // it commits them in candidate order: the first candidate accepted in
 // order wins, and the evaluations of later candidates still running are
 // stopped and dropped. Its result is therefore the one-at-a-time
-// result for any number of workers.
+// result for any number of workers. A finished evaluation frees its
+// worker at once, so later candidates run ahead of an older, slower
+// one (typically a run that ends at its step budget, which is never
+// kept) instead of waiting for its verdict.
+//
+// A rescan can propose a candidate already tested: after an edit is
+// accepted inside a region that an earlier, rejected candidate removed
+// whole, removing that region again prints the same program. Test.Memo
+// answers such repeats from a verdict memo without running the Test.
 package reduce
 
 import (
+	"crypto/sha256"
+	"sync"
 	"sync/atomic"
 
 	"artemis/internal/lang/ast"
@@ -38,6 +48,35 @@ type Test func(p *ast.Program, stop *atomic.Bool) bool
 // Predicate returns t as a Predicate that is never stopped.
 func (t Test) Predicate() Predicate {
 	return func(p *ast.Program) bool { return t(p, nil) }
+}
+
+// Memo returns t with a verdict memo: a candidate that prints the same
+// as one evaluated before gets the stored verdict back without running
+// t, so t must answer alike for programs that print alike. The memo
+// keys each verdict by the SHA-256 of the printed program and keeps
+// only the keys, and it stores only verdicts of evaluations whose stop
+// flag was never set: a stopped evaluation's answer says nothing about
+// the candidate. The memo is safe for concurrent use, so the memoized
+// Test is whenever t is. Build one per reduction.
+func (t Test) Memo() Test {
+	var mu sync.Mutex
+	verdicts := make(map[[sha256.Size]byte]bool)
+	return func(p *ast.Program, stop *atomic.Bool) bool {
+		key := sha256.Sum256([]byte(ast.Print(p)))
+		mu.Lock()
+		kept, ok := verdicts[key]
+		mu.Unlock()
+		if ok {
+			return kept
+		}
+		kept = t(p, stop)
+		if stop == nil || !stop.Load() {
+			mu.Lock()
+			verdicts[key] = kept
+			mu.Unlock()
+		}
+		return kept
+	}
 }
 
 // Options tunes reduction.
@@ -157,50 +196,63 @@ func (r *reducer) first(cands candidates) bool {
 	return found
 }
 
-// evaluation is one candidate under test on a snapshot.
+// evaluation is one candidate under test on a snapshot. Its goroutine
+// writes kept and panicked before sending it on the finished channel;
+// the caller reads them only after receiving it.
 type evaluation struct {
-	apply candidate
-	stop  atomic.Bool
-	done  chan verdict
-}
-
-type verdict struct {
+	apply    candidate
+	stop     atomic.Bool
+	done     bool // received from the finished channel
 	kept     bool
 	panicked any // a panic in the Test, raised again if its turn comes
 }
 
-// firstParallel is first with up to r.workers evaluations in flight.
+// firstParallel is first with up to r.workers evaluations running.
 // Candidates are generated, applied and checked for validity here, in
 // order; each valid one is tested on a snapshot of cur in its own
-// goroutine, and verdicts are taken in candidate order. Because a
-// one-at-a-time scan would evaluate every valid candidate before the
-// first accepted one, the k-th valid candidate in flight would be
-// evaluation evals+k there: none starts that a budget-limited scan
-// would never have evaluated.
+// goroutine. A finished evaluation frees its worker at once, while
+// verdicts are settled in candidate order. Because a one-at-a-time
+// scan would evaluate every valid candidate before the first accepted
+// one, the k-th unsettled candidate would be evaluation evals+k there:
+// none starts that a budget-limited scan would never have evaluated.
 func (r *reducer) firstParallel(cands candidates) bool {
-	var window []*evaluation
-	// settle takes the oldest verdict. On acceptance it stops and
-	// waits for every later evaluation and applies the winner to cur.
+	var window []*evaluation // unsettled, in candidate order
+	running := 0
+	// Sized to the evaluations that can run at once, so a finishing
+	// evaluation never blocks.
+	finished := make(chan *evaluation, r.workers)
+	wait := func() {
+		e := <-finished
+		e.done = true
+		running--
+	}
+	// settle waits for a running evaluation to finish and then takes
+	// the verdicts that are in, oldest first, up to the first one still
+	// running. On acceptance it stops and waits for every later
+	// evaluation and applies the winner to cur.
 	settle := func() bool {
-		e := window[0]
-		window = window[1:]
-		v := <-e.done
-		r.evals++
-		if !v.kept && v.panicked == nil {
-			return false
+		wait()
+		for len(window) > 0 && window[0].done {
+			e := window[0]
+			window = window[1:]
+			r.evals++
+			if !e.kept && e.panicked == nil {
+				continue
+			}
+			for _, later := range window {
+				later.stop.Store(true)
+			}
+			for running > 0 {
+				wait()
+			}
+			window = nil
+			if e.panicked != nil {
+				panic(e.panicked)
+			}
+			e.apply()
+			return true
 		}
-		for _, later := range window {
-			later.stop.Store(true)
-		}
-		for _, later := range window {
-			<-later.done
-		}
-		window = nil
-		if v.panicked != nil {
-			panic(v.panicked)
-		}
-		e.apply()
-		return true
+		return false
 	}
 	found := false
 	cands(func(c candidate) bool {
@@ -214,20 +266,22 @@ func (r *reducer) firstParallel(cands candidates) bool {
 		}
 		snap := ast.CloneProgram(r.cur)
 		undo()
-		e := &evaluation{apply: c, done: make(chan verdict, 1)}
+		for running == r.workers {
+			if found = settle(); found {
+				return false
+			}
+		}
+		e := &evaluation{apply: c}
+		running++
 		go func() {
-			var v verdict
 			defer func() {
-				v.panicked = recover()
-				e.done <- v
+				e.panicked = recover()
+				finished <- e
 			}()
-			v.kept = r.keep(snap, &e.stop)
+			e.kept = r.keep(snap, &e.stop)
 		}()
 		window = append(window, e)
-		if len(window) == r.workers {
-			found = settle()
-		}
-		return !found
+		return true
 	})
 	for !found && len(window) > 0 {
 		found = settle()
